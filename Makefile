@@ -1,24 +1,6 @@
 GO ?= go
 
-# Benchmarks recorded by bench-json; Table 1 system construction is the
-# allocation-tracked canary for hot-path regressions.
-BENCH_PATTERN ?= BenchmarkTable1BaselineSystemConstruction|BenchmarkEngineEventThroughput|BenchmarkSegmentThroughput|BenchmarkFig9TriangularPredictive
-BENCH_COUNT ?= 5
-BENCH_LABEL ?= current
-
-# bench-suite settings: full rmexperiments renders timed end to end.
-SUITE_COUNT ?= 5
-SUITE_LABEL ?= post-scheduler
-SUITE_FLAGS ?=
-
-# bench-record / bench-diff settings: the benchrunner harness (BENCH_3).
-BENCH_ITERS ?= 10
-BENCH_OUT ?= BENCH_3.json
-BENCH_BASELINE ?= BENCH_3.json
-BENCH_THRESHOLD ?= 10
-BENCH_REPORT ?= bench-diff-report.txt
-
-.PHONY: build test race bench bench-json bench-suite bench-record bench-diff check golden vet fmt all
+.PHONY: build test race bench check golden vet fmt all
 
 all: build test
 
@@ -40,48 +22,6 @@ race:
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/telemetry/...
-
-# bench-json records the hot-path benchmarks into BENCH_1.json under
-# $(BENCH_LABEL), preserving other labels (e.g. the committed
-# pre-optimization baseline). Raw lines are kept benchstat-comparable:
-#   jq -r '.labels.baseline.lines[]' BENCH_1.json | benchstat /dev/stdin
-bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count $(BENCH_COUNT) . \
-		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out BENCH_1.json
-
-# bench-suite times $(SUITE_COUNT) full rmexperiments renders and records
-# the wall-clock into BENCH_2.json under $(SUITE_LABEL) (the committed
-# pre-scheduler label is the baseline). Pass SUITE_FLAGS='-cache-dir d'
-# to measure a warm-cache render.
-bench-suite:
-	@tmp=$$(mktemp -d); \
-	$(GO) build -o $$tmp/rmexperiments ./cmd/rmexperiments; \
-	for i in $$(seq 1 $(SUITE_COUNT)); do \
-		start=$$(date +%s%N); \
-		$$tmp/rmexperiments $(SUITE_FLAGS) >/dev/null || exit 1; \
-		end=$$(date +%s%N); \
-		echo "BenchmarkExperimentSuiteWallClock 1 $$((end-start)) ns/op"; \
-	done | $(GO) run ./cmd/benchjson -label $(SUITE_LABEL) -out BENCH_2.json; \
-	rm -rf $$tmp
-
-# bench-record re-measures the named benchrunner workloads (Table 1
-# canary, fig9-13 cold/warm, ext-chaos, rmserved round-trip, session
-# fan-out) and rewrites $(BENCH_OUT); run it after an intentional perf
-# change to move the committed baseline.
-bench-record:
-	$(GO) run ./cmd/benchrunner -iterations $(BENCH_ITERS) -out $(BENCH_OUT)
-
-# bench-diff is the regression gate: record a fresh snapshot, compare it
-# against the last committed $(BENCH_BASELINE), and exit non-zero when a
-# gated workload's best-of-N wall time regressed past $(BENCH_THRESHOLD)%.
-# The report (including measured pprof CPU+heap overhead per workload)
-# lands in $(BENCH_REPORT).
-bench-diff:
-	@tmp=$$(mktemp /tmp/bench3.XXXXXX.json); \
-	$(GO) run ./cmd/benchrunner -iterations $(BENCH_ITERS) -out $$tmp || { rm -f $$tmp; exit 1; }; \
-	$(GO) run ./cmd/benchrunner -diff -baseline $(BENCH_BASELINE) -candidate $$tmp \
-		-threshold $(BENCH_THRESHOLD) -report $(BENCH_REPORT); \
-	status=$$?; rm -f $$tmp; exit $$status
 
 # golden re-runs the determinism harness; use UPDATE=1 after an
 # intentional model change to regenerate the snapshots.

@@ -27,7 +27,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dynbench"
 	"repro/internal/experiment"
-	"repro/internal/export"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sim"
@@ -216,7 +215,7 @@ func main() {
 	}
 	if *jsonOut != "" {
 		writeOutput(*jsonOut, *force, "JSON", func(f io.Writer) error {
-			return export.WriteJSON(f, export.FromResult(res, true, true))
+			return trace.WriteRunJSON(f, trace.RunToJSON(res.Metrics, res.Records, res.Events))
 		})
 	}
 	if *traceOut != "" {

@@ -14,11 +14,12 @@ import (
 	"repro/internal/api"
 	"repro/internal/client"
 	"repro/internal/experiment"
+	"repro/internal/resil"
 	"repro/internal/server"
 )
 
 // newTestServer starts an in-process daemon and a client against it.
-func newTestServer(t *testing.T, opts server.Options) (*server.Server, *client.Client) {
+func newTestServer(t *testing.T, opts server.Options, copts ...client.Option) (*server.Server, *client.Client) {
 	t.Helper()
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.NewTextHandler(testWriter{t}, &slog.HandlerOptions{Level: slog.LevelWarn}))
@@ -29,8 +30,7 @@ func newTestServer(t *testing.T, opts server.Options) (*server.Server, *client.C
 	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	cl := client.New(ts.URL)
-	cl.PollInterval = 10 * time.Millisecond
+	cl := client.New(ts.URL, append([]client.Option{client.WithPollInterval(10 * time.Millisecond)}, copts...)...)
 	return srv, cl
 }
 
@@ -242,35 +242,40 @@ func TestCancelMidRun(t *testing.T) {
 }
 
 // TestQueueFullReturns429: with one worker and a one-deep queue, a third
-// submission is rejected with the queue_full envelope.
+// submission is rejected with the queue_full envelope. The sim hook holds
+// the worker until the test ends, so the outcome does not depend on how
+// long a run takes, and retries are off so the first response is the one
+// asserted.
 func TestQueueFullReturns429(t *testing.T) {
-	_, cl := newTestServer(t, server.Options{Workers: 1, QueueDepth: 1})
+	_, cl := newTestServer(t, server.Options{Workers: 1, QueueDepth: 1},
+		client.WithRetries(resil.Backoff{Attempts: 1}))
 	ctx := context.Background()
+	// A memoized outcome would bypass the hook and free the worker.
+	experiment.ResetSweepCache()
+	release := make(chan struct{})
+	seedHook(t, 770004, func(int) error { <-release; return nil })
+	t.Cleanup(func() { close(release) })
 
-	running, err := cl.SubmitRun(ctx, runReq(770004, longValues()))
+	running, err := cl.SubmitRun(ctx, runReq(770004, []int{500}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitForState(t, cl, running.ID, api.JobRunning)
 
-	queued, err := cl.SubmitRun(ctx, runReq(770005, longValues()))
+	queued, err := cl.SubmitRun(ctx, runReq(770005, []int{500}))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	_, err = cl.SubmitRun(ctx, runReq(770006, longValues()))
+	_, err = cl.SubmitRun(ctx, runReq(770006, []int{500}))
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != 429 || apiErr.Code != api.CodeQueueFull {
 		t.Fatalf("third submission error %v, want 429 %s", err, api.CodeQueueFull)
 	}
 
-	// Cancel the queued job first (it must cancel promptly without ever
-	// holding a worker), then the running one.
+	// The queued job must cancel promptly without ever holding a worker.
 	if j, err := cl.Cancel(ctx, queued.ID); err != nil || j.State != api.JobCancelled {
 		t.Fatalf("cancelling queued job: state %q err %v", j.State, err)
-	}
-	if j, err := cl.Cancel(ctx, running.ID); err != nil || j.State != api.JobCancelled {
-		t.Fatalf("cancelling running job: state %q err %v", j.State, err)
 	}
 }
 

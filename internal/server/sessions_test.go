@@ -224,8 +224,7 @@ func TestSessionEndToEndSmoke(t *testing.T) {
 // pause/resume round-trip, conflicts on terminal sessions, 404s, and
 // stats exposure.
 func TestSessionLifecycleAndErrors(t *testing.T) {
-	srv, cl := newTestServer(t, server.Options{})
-	_ = srv
+	_, cl, base := newTestServerURL(t, server.Options{})
 
 	// A paced session stays alive long enough to pause.
 	req := sessReq(5000)
@@ -234,6 +233,10 @@ func TestSessionLifecycleAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Wait for the first published state: a session stopped before its
+	// first sample has no state to keep readable.
+	var first api.SessionState
+	rawStream(t, base, sess.ID, "", &first, 1)
 	if s, err := cl.PauseSession(context.Background(), sess.ID); err != nil || s.State != api.SessionPaused {
 		t.Fatalf("pause: %+v, %v", s, err)
 	}

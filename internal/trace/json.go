@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/metrics"
 	"repro/internal/task"
 )
 
 // PeriodJSON is the canonical JSON shape of one completed instance; the
-// export package aliases it so every serialization path shares one
+// log and run documents share it so every serialization path uses one
 // encoder. Times are milliseconds as floats, the unit the paper reports
 // in.
 type PeriodJSON struct {
@@ -86,12 +87,7 @@ func (l *Log) WriteJSON(w io.Writer) error {
 	for _, e := range l.events {
 		doc.Events = append(doc.Events, EventToJSON(e))
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("trace: write json: %w", err)
-	}
-	return nil
+	return writeIndented(w, doc)
 }
 
 // ReadLogJSON parses a document written by WriteJSON.
@@ -102,4 +98,73 @@ func ReadLogJSON(r io.Reader) (LogJSON, error) {
 		return LogJSON{}, fmt.Errorf("trace: read json: %w", err)
 	}
 	return doc, nil
+}
+
+// SummaryJSON is the JSON shape of a run's aggregate metrics.
+type SummaryJSON struct {
+	Periods        int     `json:"periods"`
+	Completed      int     `json:"completed"`
+	Missed         int     `json:"missed"`
+	MissedPct      float64 `json:"missed_pct"`
+	CPUUtilPct     float64 `json:"cpu_util_pct"`
+	NetUtilPct     float64 `json:"net_util_pct"`
+	MeanReplicas   float64 `json:"mean_replicas"`
+	ReplicaUsePct  float64 `json:"replica_use_pct"`
+	Combined       float64 `json:"combined_metric"`
+	Replications   int     `json:"replications"`
+	Shutdowns      int     `json:"shutdowns"`
+	AllocFailures  int     `json:"alloc_failures"`
+	UnfinishedWork int     `json:"unfinished"`
+}
+
+// SummaryToJSON converts aggregate metrics.
+func SummaryToJSON(m metrics.RunMetrics) SummaryJSON {
+	return SummaryJSON{
+		Periods:        m.Periods,
+		Completed:      m.Completed,
+		Missed:         m.Missed,
+		MissedPct:      m.MissedPct(),
+		CPUUtilPct:     m.CPUUtilPct(),
+		NetUtilPct:     m.NetUtilPct(),
+		MeanReplicas:   m.MeanReplicas,
+		ReplicaUsePct:  m.ReplicaUsePct(),
+		Combined:       m.Combined(),
+		Replications:   m.Replications,
+		Shutdowns:      m.Shutdowns,
+		AllocFailures:  m.AllocFailures,
+		UnfinishedWork: m.UnfinishedWork,
+	}
+}
+
+// RunJSON is the JSON document of a whole run: its aggregate metrics,
+// every completed period and every adaptation action.
+type RunJSON struct {
+	Summary SummaryJSON  `json:"summary"`
+	Periods []PeriodJSON `json:"periods,omitempty"`
+	Events  []EventJSON  `json:"events,omitempty"`
+}
+
+// RunToJSON converts a run's metrics, period records and adaptation
+// events; nil records or events leave that part of the document out.
+func RunToJSON(m metrics.RunMetrics, records []*task.PeriodRecord, events []AdaptationEvent) RunJSON {
+	run := RunJSON{Summary: SummaryToJSON(m)}
+	for _, r := range records {
+		run.Periods = append(run.Periods, PeriodToJSON(r))
+	}
+	for _, e := range events {
+		run.Events = append(run.Events, EventToJSON(e))
+	}
+	return run
+}
+
+// WriteRunJSON writes a run document as indented JSON.
+func WriteRunJSON(w io.Writer, run RunJSON) error { return writeIndented(w, run) }
+
+func writeIndented(w io.Writer, doc any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(doc); err != nil {
+		return fmt.Errorf("trace: write json: %w", err)
+	}
+	return nil
 }

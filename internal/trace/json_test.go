@@ -2,9 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/task"
 )
@@ -96,5 +99,85 @@ func TestWriteJSONEmptyLog(t *testing.T) {
 	}
 	if len(doc.Records) != 0 || len(doc.Events) != 0 {
 		t.Errorf("empty log round-tripped as %+v", doc)
+	}
+}
+
+// sampleRun is a one-period run: two of three instances completed (one
+// missed) and one replication.
+func sampleRun() (metrics.RunMetrics, []*task.PeriodRecord, []AdaptationEvent) {
+	c := metrics.NewCollector(6)
+	c.ObservePeriodStart(0.5, 0.25, 2)
+	c.ObserveCompletion(false)
+	c.ObserveCompletion(true)
+	c.CountReplications(2)
+	rec := &task.PeriodRecord{
+		Period: 1, Items: 1000,
+		ReleasedAt:  sim.Second,
+		CompletedAt: sim.Second + 400*sim.Millisecond,
+		Deadline:    sim.Second + 990*sim.Millisecond,
+		Stages: []task.StageObservation{{
+			ReadyAt: sim.Second, DoneAt: sim.Second + 300*sim.Millisecond,
+			DeliveredAt: sim.Second + 350*sim.Millisecond, Replicas: 2,
+		}},
+	}
+	events := []AdaptationEvent{{
+		At: 2 * sim.Second, Period: 2, Task: "T", Stage: 2,
+		Kind: ActionReplicate, Procs: []int{3, 4},
+	}}
+	return c.Finish(), []*task.PeriodRecord{rec}, events
+}
+
+func TestRunToJSONFull(t *testing.T) {
+	run := RunToJSON(sampleRun())
+	if run.Summary.Completed != 2 || run.Summary.Missed != 1 {
+		t.Errorf("summary = %+v", run.Summary)
+	}
+	if len(run.Periods) != 1 {
+		t.Fatalf("periods = %d", len(run.Periods))
+	}
+	p := run.Periods[0]
+	if p.LatencyMS != 400 || p.Missed {
+		t.Errorf("period = %+v", p)
+	}
+	if len(p.Stages) != 1 || p.Stages[0].ExecMS != 300 || p.Stages[0].CommMS != 50 {
+		t.Errorf("stages = %+v", p.Stages)
+	}
+	if len(run.Events) != 1 || run.Events[0].Kind != "replicate" || run.Events[0].AtMS != 2000 {
+		t.Errorf("events = %+v", run.Events)
+	}
+}
+
+func TestRunToJSONSummaryOnly(t *testing.T) {
+	m, _, _ := sampleRun()
+	run := RunToJSON(m, nil, nil)
+	if run.Periods != nil || run.Events != nil {
+		t.Error("summary-only run carried detail")
+	}
+	var b strings.Builder
+	if err := WriteRunJSON(&b, run); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(b.String(), `"periods": [`) || strings.Contains(b.String(), `"events"`) {
+		t.Errorf("summary-only document encoded empty detail:\n%s", b.String())
+	}
+}
+
+func TestWriteRunJSONRoundTrip(t *testing.T) {
+	var b strings.Builder
+	if err := WriteRunJSON(&b, RunToJSON(sampleRun())); err != nil {
+		t.Fatal(err)
+	}
+	var back RunJSON
+	if err := json.Unmarshal([]byte(b.String()), &back); err != nil {
+		t.Fatal(err)
+	}
+	m, _, _ := sampleRun()
+	if back.Summary.Combined != SummaryToJSON(m).Combined {
+		t.Error("round trip changed the combined metric")
+	}
+	for _, key := range []string{`"missed_pct"`, `"combined_metric"`, `"latency_ms"`, `"procs"`} {
+		if !strings.Contains(b.String(), key) {
+			t.Errorf("JSON missing %s", key)
+		}
 	}
 }
