@@ -106,16 +106,16 @@ func RunObservedContext(ctx context.Context, cfg Config, alg Algorithm, setups [
 	return runContext(ctx, cfg, alg, setups, obs)
 }
 
-// scheduleObservations pre-schedules every sample event up to the
-// pattern horizon. Pre-scheduling (rather than self-rescheduling) means
-// the engine still drains to quiescence once the workload ends, and —
-// because this runs after the rest of construction — every event of the
-// unobserved build keeps its sequence number, so the simulation's event
+// scheduleObservations schedules one sample every obs.Every up to the
+// pattern horizon as a single periodic source. Its occurrence count is
+// fixed up front (rather than self-rescheduling open-endedly), so the
+// engine still drains to quiescence once the workload ends; and because
+// this runs after the rest of construction, the sequence numbers it
+// reserves all follow the unobserved build's, so the simulation's event
 // order is unchanged.
 func (s *system) scheduleObservations(obs *Observer, horizon sim.Time) {
-	for t := obs.Every; t <= horizon; t += obs.Every {
-		s.eng.Schedule(t, func() { obs.OnSample(s.captureObservation()) })
-	}
+	s.eng.SchedulePeriodic(obs.Every, obs.Every, int(horizon/obs.Every),
+		func(int) { obs.OnSample(s.captureObservation()) })
 }
 
 // captureObservation copies the live state into a fresh Observation.

@@ -232,8 +232,9 @@ func runContext(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSet
 		return Result{}, err
 	}
 	if obs != nil {
-		// After the rest of construction, so every pre-existing event
-		// keeps its engine sequence number (see scheduleObservations).
+		// After the rest of construction, so every event the build
+		// scheduled or reserved keeps its engine sequence number (see
+		// scheduleObservations).
 		s.scheduleObservations(obs, patternHorizon(setups))
 	}
 
@@ -268,7 +269,8 @@ func runContext(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSet
 
 // buildSystem assembles one simulated segment on the given engine:
 // processors, meters, telemetry observers, the fault schedule, runtime
-// tasks, pre-scheduled period starts, and the synchronizer stop hook.
+// tasks, one periodic period-start source per task (its sequence numbers
+// reserved up front), and the synchronizer stop hook.
 // The caller has validated cfg/alg/setups and resolved the concrete
 // fault schedule. Construction order is load-bearing: it fixes the
 // engine's event sequence numbers, and therefore the run.
@@ -342,13 +344,12 @@ func buildSystem(cfg Config, alg Algorithm, setups []TaskSetup, eng *sim.Engine,
 		s.tasks = append(s.tasks, rt)
 	}
 
-	// Pre-schedule every period start.
+	// Every period start, as one periodic source per task: each reserves
+	// its periods' sequence numbers here, in task order.
 	for _, rt := range s.tasks {
 		rt := rt
-		for c := 0; c < rt.setup.Pattern.Periods(); c++ {
-			c := c
-			s.eng.Schedule(sim.Time(c)*rt.setup.Spec.Period, func() { s.runPeriod(rt, c) })
-		}
+		s.eng.SchedulePeriodic(0, rt.setup.Spec.Period, rt.setup.Pattern.Periods(),
+			func(c int) { s.runPeriod(rt, c) })
 	}
 	// Stop the synchronizer's tick chain at the end of the last task's
 	// pattern so the engine can drain, and capture the residual clock

@@ -255,13 +255,16 @@ func (s *scheduler) submit(cfg core.Config, alg core.Algorithm, setups []core.Ta
 func (s *scheduler) abandon(e *runEntry) {
 	s.mu.Lock()
 	e.waiters--
-	cancel := e.waiters <= 0 && !e.finished
-	if cancel && s.entries[e.key] == e {
-		delete(s.entries, e.key)
+	var cancel context.CancelFunc
+	if e.waiters <= 0 && !e.finished {
+		cancel = e.cancelRun
+		if s.entries[e.key] == e {
+			delete(s.entries, e.key)
+		}
 	}
 	s.mu.Unlock()
-	if cancel {
-		e.cancelRun()
+	if cancel != nil {
+		cancel()
 	}
 }
 
@@ -371,6 +374,10 @@ func (s *scheduler) finish(e *runEntry, out RunOutcome, err error, kind string, 
 	s.mu.Lock()
 	e.out, e.err = out, err
 	e.finished = true
+	// A finished entry is memoized for the life of the process; keep only
+	// its outcome, not the inputs and context that produced it.
+	e.cfg, e.setups = core.Config{}, nil
+	e.runCtx, e.cancelRun = nil, nil
 	if (isCancel(err) || resil.IsTransient(err)) && s.entries[e.key] == e {
 		// Never memoize a cancellation or a transient failure: the next
 		// identical request must re-execute — a dead waiter's context

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -111,6 +112,43 @@ func TestScheduledRunRejectsTelemetry(t *testing.T) {
 	cfg.Telemetry = telemetry.New(telemetry.DefaultConfig())
 	if _, err := ScheduledRun(cfg, core.Predictive, []core.TaskSetup{setup}); err == nil {
 		t.Error("telemetry-carrying run accepted by the scheduler")
+	}
+}
+
+// TestFinishedEntryKeepsOnlyOutcome: the run memo lives as long as the
+// process, so a finished entry must drop its config, task setups and
+// run context, and still serve the identical outcome from the memo.
+func TestFinishedEntryKeepsOnlyOutcome(t *testing.T) {
+	resetRunMemo()
+	setup, err := BenchmarkSetup(TriangularFactory(6 * WorkloadUnit))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Seed = 770001
+	setups := []core.TaskSetup{setup}
+	var first, second RunOutcome
+	var e *runEntry
+	d := statsDelta(func() {
+		e = sched.submit(cfg, core.Predictive, setups)
+		if first, err = e.wait(); err != nil {
+			t.Fatal(err)
+		}
+		if second, err = ScheduledRun(cfg, core.Predictive, setups); err != nil {
+			t.Fatal(err)
+		}
+	})
+	sched.mu.Lock()
+	kept := e.setups != nil || !reflect.DeepEqual(e.cfg, core.Config{}) || e.runCtx != nil || e.cancelRun != nil
+	sched.mu.Unlock()
+	if kept {
+		t.Error("finished entry still holds its config, setups or run context")
+	}
+	if d.Requested != 2 || d.Simulated != 1 || d.MemoryHits != 1 {
+		t.Errorf("counters %+v, want 2 requested / 1 simulated / 1 memory hit", d)
+	}
+	if !reflect.DeepEqual(first, second) || first.EventsFired == 0 {
+		t.Errorf("memoized outcome %+v differs from the simulated %+v", second, first)
 	}
 }
 

@@ -30,7 +30,7 @@ func (stretchPolicy) NewController(env TaskEnv) Controller {
 
 // stretchController holds the per-task elastic state. The effective
 // period is factor × the nominal period, realized deterministically by a
-// phase accumulator over the pre-scheduled nominal period boundaries:
+// phase accumulator over the nominal period boundaries the engine fires:
 // each boundary advances phase by 1/factor and a launch fires when the
 // accumulator crosses 1, so over any window of n nominal periods the
 // number of launches is within one of n/factor — no randomness, no

@@ -152,13 +152,56 @@ func (e *Engine) Schedule(at Time, fn func()) Timer {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: Schedule at %v before now %v", at, e.now))
 	}
+	seq := e.seq
+	e.seq++
+	return e.push(at, seq, fn)
+}
+
+// push queues fn at (at, seq) without touching the sequence counter.
+func (e *Engine) push(at Time, seq uint64, fn func()) Timer {
 	n := e.newNode()
 	n.when = at
-	n.seq = e.seq
+	n.seq = seq
 	n.fn = fn
-	e.seq++
 	e.heapPush(n)
 	return Timer{n: n, gen: n.gen, when: at}
+}
+
+// SchedulePeriodic arranges for fn(i) to run at start + i·period for
+// i = 0..n-1, firing in exactly the order that n Schedule calls made now
+// would: it reserves the n sequence numbers those calls would have taken,
+// and each occurrence carries its own. Only the next occurrence is ever
+// in the queue — occurrence i re-arms occurrence i+1 just before fn(i)
+// runs — and every later occurrence orders after it in (when, seq), so
+// the pop order of the whole queue is unchanged while Len stays small.
+// A nil fn, a start before now or a negative period panics; n ≤ 0
+// schedules nothing. Occurrences cannot be cancelled.
+func (e *Engine) SchedulePeriodic(start, period Time, n int, fn func(i int)) {
+	if fn == nil {
+		panic("sim: SchedulePeriodic with nil callback")
+	}
+	if start < e.now {
+		panic(fmt.Sprintf("sim: SchedulePeriodic at %v before now %v", start, e.now))
+	}
+	if period < 0 {
+		panic(fmt.Sprintf("sim: SchedulePeriodic with negative period %v", period))
+	}
+	if n <= 0 {
+		return
+	}
+	base := e.seq
+	e.seq += uint64(n)
+	next := 0
+	var fire func()
+	fire = func() {
+		i := next
+		next++
+		if next < n {
+			e.push(start+Time(next)*period, base+uint64(next), fire)
+		}
+		fn(i)
+	}
+	e.push(start, base, fire)
 }
 
 // After arranges for fn to run d nanoseconds from now. Negative d panics.
