@@ -7,7 +7,6 @@
 //	rmsim -alg predictive -pattern triangular -max 12000 -periods 120
 //	rmsim -alg non-predictive -pattern step -max 8000 -trace trace.csv
 //	rmsim -alg predictive -telemetry out.json -chrome trace.json
-//	rmsim -alg predictive -http :9090   # then browse /metrics, /snapshot.json
 package main
 
 import (
@@ -16,7 +15,6 @@ import (
 	"io"
 	"log/slog"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -52,7 +50,6 @@ func main() {
 		jsonOut  = flag.String("json", "", "write the full run as JSON to this file ('-' for stdout)")
 		telOut   = flag.String("telemetry", "", "write the telemetry snapshot JSON (latency/slack histograms, forecast MAPE) to this file ('-' for stdout)")
 		chrome   = flag.String("chrome", "", "write a Chrome trace_event JSON (chrome://tracing, Perfetto) to this file")
-		httpAddr = flag.String("http", "", "after the run, serve live telemetry on this address (/metrics, /snapshot.json, /trace.json) until interrupted")
 		force    = flag.Bool("force", false, "overwrite existing output files")
 		mtbf     = flag.Duration("mtbf", 0, "stochastic node crashes: mean time between failures per node (enables the hardened manager)")
 		mttr     = flag.Duration("mttr", 8*time.Second, "mean time to repair for -mtbf crashes")
@@ -137,7 +134,7 @@ func main() {
 	if *mtbf > 0 || *drop > 0 {
 		cfg.Degradation = core.HardenedDegradation()
 	}
-	if *telOut != "" || *chrome != "" || *httpAddr != "" {
+	if *telOut != "" || *chrome != "" {
 		cfg.Telemetry = telemetry.New(telemetry.DefaultConfig())
 	}
 	setups := []core.TaskSetup{setup}
@@ -232,17 +229,6 @@ func main() {
 	}
 	if *chrome != "" {
 		writeOutput(*chrome, *force, "Chrome trace", cfg.Telemetry.WriteChromeTrace)
-	}
-	if *httpAddr != "" {
-		srv, addr, err := cfg.Telemetry.Serve(*httpAddr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nserving telemetry on http://%s/ (ctrl-c to stop)\n", addr)
-		stop := make(chan os.Signal, 1)
-		signal.Notify(stop, os.Interrupt)
-		<-stop
-		srv.Close()
 	}
 }
 

@@ -23,8 +23,10 @@ import (
 )
 
 // SchemaVersion is the current wire schema. Requests must carry it
-// verbatim; responses echo it.
-const SchemaVersion = 1
+// verbatim; responses echo it. Version 2 made job SSE frames named
+// envelope frames and the parameterless GET /v1/jobs a JobPage
+// (DESIGN.md §6).
+const SchemaVersion = 2
 
 // Well-known algorithm names on the wire (mirrors core.Algorithm). The
 // accepted set is not limited to these constants: any name registered in

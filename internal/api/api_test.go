@@ -44,6 +44,14 @@ func goldenDTOs() map[string]any {
 			{MaxUnits: 8, Algorithm: AlgNonPredictive, Metrics: m},
 		},
 	}
+	retrying := Job{
+		SchemaVersion: SchemaVersion,
+		ID:            "job-3", Kind: "run", State: JobRetrying,
+		Error:       "transient: injected journal stall",
+		Attempts:    2,
+		Fingerprint: "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+		CreatedMS:   1700000000000, StartedMS: 1700000000100,
+	}
 	return map[string]any{
 		"run_request": RunRequest{
 			SchemaVersion: SchemaVersion,
@@ -75,14 +83,7 @@ func goldenDTOs() map[string]any {
 			Error:     "api: unknown sweep pattern \"sawtooth\"",
 			CreatedMS: 1700000000000, StartedMS: 1700000000100, FinishedMS: 1700000000100,
 		},
-		"job_retrying": Job{
-			SchemaVersion: SchemaVersion,
-			ID:            "job-3", Kind: "run", State: JobRetrying,
-			Error:       "transient: injected journal stall",
-			Attempts:    2,
-			Fingerprint: "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
-			CreatedMS:   1700000000000, StartedMS: 1700000000100,
-		},
+		"job_retrying": retrying,
 		"stats": Stats{
 			SchemaVersion: SchemaVersion,
 			Scheduler:     SchedulerStats{Requested: 10, Deduped: 2, MemoryHits: 3, DiskHits: 1, Simulated: 3, Cancelled: 1, Remote: 0},
@@ -128,6 +129,7 @@ func goldenDTOs() map[string]any {
 			},
 		},
 		"event_heartbeat": Event{Type: EventHeartbeat},
+		"event_job":       Event{Type: EventJob, Seq: 4, Job: &retrying},
 		"job_page": JobPage{
 			SchemaVersion: SchemaVersion,
 			Jobs: []Job{{

@@ -7,16 +7,8 @@ import (
 	"io"
 )
 
-// SSE event types. Every v1 stream frame is one of these; the name
-// travels on the SSE `event:` line and inside the Event envelope's
-// "type" field.
-//
-// Compatibility: `job` frames are emitted WITHOUT an `event:` name and
-// with a bare Job as their `data:` payload for one deprecation window
-// (DESIGN.md §6) — pre-envelope clients parse only `id:`/`data:` lines
-// and decode the payload as a Job, and both properties must keep
-// holding for them. Session frames are new, so they carry their names
-// and the full envelope from day one.
+// SSE event types. Every stream frame is one of these; the name travels
+// on the SSE `event:` line and inside the Event envelope's "type" field.
 const (
 	EventJob       = "job"
 	EventSnapshot  = "snapshot"
@@ -24,7 +16,7 @@ const (
 	EventHeartbeat = "heartbeat"
 )
 
-// Event is the typed envelope shared by every v1 SSE stream: job
+// Event is the typed envelope shared by every SSE stream: job
 // progress frames on /v1/jobs/{id}/events and session frames on
 // /v1/sessions/{id}/stream. Exactly one payload field matching Type is
 // set (heartbeats carry none). Seq is the per-stream sequence number —
@@ -47,59 +39,38 @@ type Event struct {
 // additive-change contract.
 var ErrUnknownEventType = errors.New("api: unknown SSE event type")
 
-// sseData renders the frame's data payload: the bare Job for unnamed
-// job frames (deprecation window), the envelope itself otherwise.
-func (e Event) sseData() ([]byte, error) {
-	if e.Type == EventJob {
-		if e.Job == nil {
-			return nil, fmt.Errorf("api: job event without a job payload")
-		}
-		return json.Marshal(e.Job)
-	}
-	return json.Marshal(e)
-}
-
-// WriteSSE renders the event as one Server-Sent Events frame. Job
-// frames stay unnamed with a bare Job payload (see the type constants);
-// snapshot/diff frames carry `event:` name, envelope payload, and their
-// seq as the SSE id; heartbeats are named but id-less, so they never
-// disturb a client's Last-Event-ID.
+// WriteSSE renders the event as one Server-Sent Events frame: its
+// `event:` name, its seq as the SSE id, and the envelope as the data
+// payload. Heartbeats are named but id-less, so they never disturb a
+// client's Last-Event-ID.
 func (e Event) WriteSSE(w io.Writer) error {
-	data, err := e.sseData()
+	data, err := json.Marshal(e)
 	if err != nil {
 		return err
 	}
-	switch e.Type {
-	case EventJob:
-		_, err = fmt.Fprintf(w, "id: %d\ndata: %s\n\n", e.Seq, data)
-	case EventHeartbeat:
+	if e.Type == EventHeartbeat {
 		_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Type, data)
-	default:
+	} else {
 		_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Type, data)
 	}
 	return err
 }
 
-// ParseSSE decodes one received frame from its `event:` name (empty for
-// unnamed frames) and `data:` payload. Unnamed frames and the legacy
-// "state" name decode as job frames for compatibility with pre-envelope
-// servers. Names this schema does not know return ErrUnknownEventType;
-// skip those frames.
+// ParseSSE decodes one received frame from its `event:` name and
+// `data:` payload. Names this schema does not know — the empty name
+// included — return ErrUnknownEventType; skip those frames.
 func ParseSSE(name string, data []byte) (Event, error) {
 	switch name {
-	case "", "state", EventJob:
-		var j Job
-		if err := json.Unmarshal(data, &j); err != nil {
-			return Event{}, fmt.Errorf("api: decoding job frame: %w", err)
-		}
-		return Event{Type: EventJob, Job: &j}, nil
-	case EventSnapshot, EventDiff, EventHeartbeat:
+	case EventJob, EventSnapshot, EventDiff, EventHeartbeat:
 		var e Event
 		if err := json.Unmarshal(data, &e); err != nil {
 			return Event{}, fmt.Errorf("api: decoding %s frame: %w", name, err)
 		}
 		if e.Type != name {
 			return Event{}, fmt.Errorf("api: frame named %q carries envelope type %q", name, e.Type)
+		}
+		if name == EventJob && e.Job == nil {
+			return Event{}, fmt.Errorf("api: job frame without a job payload")
 		}
 		return e, nil
 	default:

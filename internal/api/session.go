@@ -276,11 +276,10 @@ type SessionStats struct {
 	Evictions uint64 `json:"evictions,omitempty"`
 }
 
-// JobPage is the paged response of GET /v1/jobs?limit=N[&after=ID]:
-// jobs in submission order starting after the `after` cursor. NextAfter
-// carries the cursor for the following page, empty when this page
-// reaches the end. The parameterless GET /v1/jobs keeps returning the
-// bare array for one deprecation window (DESIGN.md §6).
+// JobPage is the response of GET /v1/jobs[?limit=N][&after=ID]: jobs in
+// submission order starting after the `after` cursor, every one of them
+// when no limit is given. NextAfter carries the cursor for the
+// following page, empty when this page reaches the end.
 type JobPage struct {
 	SchemaVersion int    `json:"schema_version"`
 	Jobs          []Job  `json:"jobs"`

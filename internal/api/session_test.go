@@ -72,8 +72,10 @@ func TestSessionStateCloneIndependent(t *testing.T) {
 }
 
 // TestEventSSERoundTrip proves WriteSSE → ParseSSE preserves every
-// event type, and pins the frame shapes the compatibility story depends
-// on: job frames unnamed with a bare Job payload, heartbeats id-less.
+// event type, and pins the frame shapes: every frame named with the
+// envelope as payload, heartbeats id-less. Names the schema does not
+// know — the empty name and the pre-envelope "state" included — return
+// ErrUnknownEventType for skipping.
 func TestEventSSERoundTrip(t *testing.T) {
 	sess := fixtureSession()
 	events := []Event{
@@ -102,61 +104,31 @@ func TestEventSSERoundTrip(t *testing.T) {
 				id = strings.TrimPrefix(line, "id: ")
 			}
 		}
-		switch ev.Type {
-		case EventJob:
-			if name != "" {
-				t.Errorf("job frame carries event name %q; must stay unnamed through the deprecation window", name)
-			}
-			var j Job
-			if err := json.Unmarshal([]byte(data), &j); err != nil || j.ID != "job-1" {
-				t.Errorf("job frame data is not a bare Job: %q (%v)", data, err)
-			}
-		case EventHeartbeat:
+		if name != ev.Type {
+			t.Errorf("frame named %q, want %q", name, ev.Type)
+		}
+		if ev.Type == EventHeartbeat {
 			if id != "" {
 				t.Errorf("heartbeat carries an id %q; it must not disturb Last-Event-ID", id)
 			}
-		default:
-			if name != ev.Type {
-				t.Errorf("frame named %q, want %q", name, ev.Type)
-			}
-			if id == "" {
-				t.Errorf("%s frame has no id", ev.Type)
-			}
+		} else if id != strconv.FormatUint(ev.Seq, 10) {
+			t.Errorf("%s frame id %q, want %d", ev.Type, id, ev.Seq)
 		}
 		got, err := ParseSSE(name, []byte(data))
 		if err != nil {
 			t.Fatalf("ParseSSE(%s): %v", ev.Type, err)
 		}
-		if got.Type == EventJob {
-			// A bare Job payload cannot carry the envelope seq; receivers
-			// restore it from the SSE id line, as a client does.
-			if id != strconv.FormatUint(ev.Seq, 10) {
-				t.Errorf("job frame id %q, want %d", id, ev.Seq)
-			}
-			got.Seq = ev.Seq
-		}
 		if !reflect.DeepEqual(got, ev) {
 			t.Errorf("SSE round trip drifted for %s:\n got %+v\nwant %+v", ev.Type, got, ev)
 		}
 	}
-}
-
-// TestParseSSECompat pins the legacy input shapes: unnamed frames and
-// the pre-envelope "state" name both decode as job events; unknown
-// names return ErrUnknownEventType for skipping.
-func TestParseSSECompat(t *testing.T) {
-	data := []byte(`{"schema_version":1,"id":"job-9","kind":"run","state":"done","created_ms":1}`)
-	for _, name := range []string{"", "state", EventJob} {
-		ev, err := ParseSSE(name, data)
-		if err != nil {
-			t.Fatalf("name %q: %v", name, err)
-		}
-		if ev.Type != EventJob || ev.Job == nil || ev.Job.ID != "job-9" {
-			t.Errorf("name %q: got %+v", name, ev)
+	for _, name := range []string{"", "state", "telemetry"} {
+		if _, err := ParseSSE(name, []byte("{}")); !errors.Is(err, ErrUnknownEventType) {
+			t.Errorf("name %q: got %v, want ErrUnknownEventType", name, err)
 		}
 	}
-	if _, err := ParseSSE("telemetry", []byte("{}")); !errors.Is(err, ErrUnknownEventType) {
-		t.Errorf("unknown name: got %v, want ErrUnknownEventType", err)
+	if _, err := ParseSSE(EventJob, []byte(`{"type":"job","seq":1}`)); err == nil {
+		t.Error("job frame without a job payload accepted")
 	}
 }
 

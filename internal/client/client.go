@@ -92,13 +92,6 @@ func New(base string, opts ...Option) *Client {
 	return c
 }
 
-// NewWithHTTPClient builds a client with a caller-supplied http.Client.
-//
-// Deprecated: use New(base, WithHTTPClient(hc)).
-func NewWithHTTPClient(base string, hc *http.Client) *Client {
-	return New(base, WithHTTPClient(hc))
-}
-
 // APIError is a non-2xx response decoded from the server's error
 // envelope.
 type APIError struct {
@@ -278,9 +271,9 @@ func (c *Client) Job(ctx context.Context, id string) (api.Job, error) {
 
 // Jobs lists every job the daemon knows, in submission order.
 func (c *Client) Jobs(ctx context.Context) ([]api.Job, error) {
-	var out []api.Job
-	err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &out)
-	return out, err
+	var page api.JobPage
+	err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &page)
+	return page.Jobs, err
 }
 
 // JobsPage fetches one page of the job list: at most limit jobs in

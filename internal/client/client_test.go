@@ -61,7 +61,7 @@ func TestSubmitDefaultsSchemaVersion(t *testing.T) {
 			t.Error(err)
 		}
 		w.WriteHeader(http.StatusAccepted)
-		w.Write([]byte(`{"schema_version":1,"id":"job-1","kind":"run","state":"queued","created_ms":1}`))
+		w.Write([]byte(`{"schema_version":2,"id":"job-1","kind":"run","state":"queued","created_ms":1}`))
 	}))
 	defer ts.Close()
 	if _, err := New(ts.URL).SubmitRun(context.Background(), api.RunRequest{Algorithm: api.AlgPredictive}); err != nil {
@@ -110,7 +110,7 @@ func TestRetryHonorsRetryAfter(t *testing.T) {
 			return
 		}
 		w.WriteHeader(http.StatusAccepted)
-		w.Write([]byte(`{"schema_version":1,"id":"job-1","kind":"run","state":"queued","created_ms":1}`))
+		w.Write([]byte(`{"schema_version":2,"id":"job-1","kind":"run","state":"queued","created_ms":1}`))
 	}))
 	defer ts.Close()
 
@@ -171,7 +171,7 @@ func TestRetryTransportError(t *testing.T) {
 			return
 		}
 		w.WriteHeader(http.StatusAccepted)
-		w.Write([]byte(`{"schema_version":1,"id":"job-1","kind":"run","state":"queued","created_ms":1}`))
+		w.Write([]byte(`{"schema_version":2,"id":"job-1","kind":"run","state":"queued","created_ms":1}`))
 	}))
 	defer ts.Close()
 
@@ -197,19 +197,19 @@ func TestEventsReconnectWithLastEventID(t *testing.T) {
 	var conns atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/event-stream")
-		switch conns.Add(1) {
-		case 1:
+		// The first stream dies without a terminal frame.
+		ev := api.Event{Type: api.EventJob, Seq: 1, Job: &api.Job{ID: "job-1", Kind: "run", State: api.JobRunning}}
+		if conns.Add(1) == 1 {
 			if r.Header.Get("Last-Event-ID") != "" {
 				t.Errorf("first connect sent Last-Event-ID %q", r.Header.Get("Last-Event-ID"))
 			}
-			fmt.Fprint(w, "id: 1\nevent: state\ndata: {\"schema_version\":1,\"id\":\"job-1\",\"kind\":\"run\",\"state\":\"running\",\"created_ms\":1}\n\n")
-			// Stream dies without a terminal frame.
-		default:
+		} else {
 			if got := r.Header.Get("Last-Event-ID"); got != "1" {
 				t.Errorf("reconnect sent Last-Event-ID %q, want 1", got)
 			}
-			fmt.Fprint(w, "id: 2\nevent: state\ndata: {\"schema_version\":1,\"id\":\"job-1\",\"kind\":\"run\",\"state\":\"done\",\"created_ms\":1}\n\n")
+			ev.Seq, ev.Job.State = 2, api.JobDone
 		}
+		ev.WriteSSE(w)
 	}))
 	defer ts.Close()
 

@@ -1,13 +1,11 @@
 package client
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,66 +13,8 @@ import (
 	"repro/internal/api"
 )
 
-// TestLegacyConsumerAgainstNewFrames pins the deprecation-window
-// contract from the other side: a pre-envelope consumer — the exact
-// parsing loop this package shipped before the Event envelope, reading
-// only `id:`/`data:` lines and decoding the payload as a bare Job —
-// must keep working against frames produced by the new server's
-// emitter (api.Event.WriteSSE).
-func TestLegacyConsumerAgainstNewFrames(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/event-stream")
-		for seq, state := range map[uint64]string{1: api.JobRunning, 2: api.JobDone} {
-			ev := api.Event{Type: api.EventJob, Seq: seq, Job: &api.Job{
-				SchemaVersion: api.SchemaVersion, ID: "job-1", Kind: "run", State: state, CreatedMS: 1,
-			}}
-			if err := ev.WriteSSE(w); err != nil {
-				t.Error(err)
-			}
-		}
-	}))
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-
-	// The legacy parser, verbatim: id:/data: prefixes only, bare Job.
-	var lastEventID string
-	states := map[string]bool{}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if evID, ok := strings.CutPrefix(line, "id: "); ok {
-			lastEventID = evID
-			continue
-		}
-		data, ok := strings.CutPrefix(line, "data: ")
-		if !ok {
-			continue
-		}
-		var j api.Job
-		if err := json.Unmarshal([]byte(data), &j); err != nil {
-			t.Fatalf("legacy consumer cannot decode frame %q: %v", data, err)
-		}
-		if j.ID != "job-1" {
-			t.Fatalf("legacy consumer decoded job %q", j.ID)
-		}
-		states[j.State] = true
-	}
-	if !states[api.JobRunning] || !states[api.JobDone] {
-		t.Errorf("legacy consumer saw states %v, want running and done", states)
-	}
-	if lastEventID != "1" && lastEventID != "2" {
-		t.Errorf("legacy consumer tracked Last-Event-ID %q", lastEventID)
-	}
-}
-
 // TestOptions proves the construction surface: the variadic New applies
-// options, and the deprecated NewWithHTTPClient still routes through
-// them.
+// options.
 func TestOptions(t *testing.T) {
 	hc := &http.Client{Timeout: 42 * time.Second}
 	c := New("http://x/", WithHTTPClient(hc), WithPollInterval(7*time.Millisecond))
@@ -86,9 +26,6 @@ func TestOptions(t *testing.T) {
 	}
 	if c.base != "http://x" {
 		t.Errorf("base %q not trimmed", c.base)
-	}
-	if old := NewWithHTTPClient("http://x", hc); old.hc != hc {
-		t.Error("NewWithHTTPClient no longer installs the http client")
 	}
 	if def := New("http://x"); def.hc != http.DefaultClient {
 		t.Error("optionless New changed defaults")

@@ -130,7 +130,7 @@ func TestTelemetryExportersOnRealRun(t *testing.T) {
 	rec := runWithTelemetry(t, Predictive, workload.NewConstant(1500, 10), false)
 
 	var prom bytes.Buffer
-	if err := rec.WritePrometheus(&prom); err != nil {
+	if err := rec.Registry().WritePrometheus(&prom); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	for _, want := range []string{"rm_e2e_latency_count", "rm_stage_latency_bucket", "rm_cpu_util"} {

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math/rand/v2"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -188,17 +189,36 @@ func TestMeter(t *testing.T) {
 	}
 }
 
-// refCompletion computes round-robin completion times with a literal
-// slice-by-slice reference simulation, used to validate the event-driven
-// scheduler's fast path.
+// refArrival is one job submission fed to the reference scheduler.
 type refArrival struct {
 	at     sim.Time
 	demand sim.Time
 	idx    int
 }
 
-func refCompletion(arrivals []refArrival, slice sim.Time) []sim.Time {
-	done := make([]sim.Time, len(arrivals))
+// refRun is what a literal slice-by-slice round-robin simulation
+// observed: each job's first dispatch and completion, and every interval
+// in which the CPU served work. It validates the event-driven
+// scheduler's fast path.
+type refRun struct {
+	start, done []sim.Time
+	busy        [][2]sim.Time
+}
+
+// busyAt returns the CPU time served by instant t.
+func (r refRun) busyAt(t sim.Time) sim.Time {
+	var sum sim.Time
+	for _, iv := range r.busy {
+		if iv[0] < t {
+			sum += min(iv[1], t) - iv[0]
+		}
+	}
+	return sum
+}
+
+func refSchedule(arrivals []refArrival, slice sim.Time) refRun {
+	run := refRun{start: make([]sim.Time, len(arrivals)), done: make([]sim.Time, len(arrivals))}
+	started := make([]bool, len(arrivals))
 	pending := append([]refArrival(nil), arrivals...)
 	sort.SliceStable(pending, func(i, j int) bool { return pending[i].at < pending[j].at })
 	type rj struct {
@@ -220,10 +240,12 @@ func refCompletion(arrivals []refArrival, slice sim.Time) []sim.Time {
 			continue
 		}
 		j := queue[0]
-		burst := slice
-		if j.rem < burst {
-			burst = j.rem
+		if !started[j.idx] {
+			started[j.idx] = true
+			run.start[j.idx] = t
 		}
+		burst := min(slice, j.rem)
+		run.busy = append(run.busy, [2]sim.Time{t, t + burst})
 		t += burst
 		j.rem -= burst
 		// Arrivals at or before the boundary enqueue behind the current
@@ -235,51 +257,82 @@ func refCompletion(arrivals []refArrival, slice sim.Time) []sim.Time {
 			pending = pending[1:]
 		}
 		if j.rem == 0 {
-			done[j.idx] = t
+			run.done[j.idx] = t
 		} else {
 			queue = append(queue, j)
 		}
 	}
-	return done
+	return run
 }
 
 // Property: the event-driven scheduler with its extended-burst fast path
-// produces exactly the same completion times as literal 1 ms slicing.
+// matches literal 1 ms slicing — every job's first dispatch and
+// completion, and the busy time at seeded probe instants. Arrivals land
+// on a 0.5 ms grid, so many hit slice boundaries, or at arbitrary
+// nanoseconds with up to 8 jobs in flight. Arrivals and probes are all
+// scheduled before the run: at a shared instant they fire ahead of the
+// processor's own events, which is the order the reference models.
 func TestPropertyMatchesStrictSlicingReference(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := sim.NewRand(seed, 17)
-		n := 1 + int(r.Uint64()%6)
-		arrivals := make([]refArrival, n)
-		for i := range arrivals {
-			arrivals[i] = refArrival{
-				at:     sim.Time(r.Uint64()%20) * ms / 2, // 0..10ms in 0.5ms steps
-				demand: sim.Time(1+r.Uint64()%10) * ms,
-				idx:    i,
-			}
-		}
-		want := refCompletion(arrivals, DefaultSlice)
+	for _, mode := range []struct {
+		name    string
+		maxJobs uint64
+		arrival func(r *rand.Rand) (at, demand sim.Time)
+	}{
+		{"grid", 6, func(r *rand.Rand) (sim.Time, sim.Time) {
+			return sim.Time(r.Uint64()%20) * ms / 2, sim.Time(1+r.Uint64()%10) * ms
+		}},
+		{"nanosecond", 8, func(r *rand.Rand) (sim.Time, sim.Time) {
+			return sim.Time(r.Uint64() % uint64(10*ms)), sim.Time(1 + r.Uint64()%uint64(10*ms))
+		}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			f := func(seed uint64) bool {
+				r := sim.NewRand(seed, 17)
+				arrivals := make([]refArrival, 1+r.Uint64()%mode.maxJobs)
+				horizon := 10 * ms
+				for i := range arrivals {
+					at, demand := mode.arrival(r)
+					arrivals[i] = refArrival{at: at, demand: demand, idx: i}
+					horizon += demand
+				}
+				want := refSchedule(arrivals, DefaultSlice)
 
-		eng := sim.NewEngine()
-		p := NewProcessor(eng, 0, DefaultSlice)
-		got := make([]sim.Time, n)
-		for i, a := range arrivals {
-			i, a := i, a
-			eng.Schedule(a.at, func() {
-				p.Submit(&Job{Demand: a.demand, OnComplete: func(at sim.Time) { got[i] = at }})
-			})
-		}
-		eng.Run()
-		for i := range want {
-			if got[i] != want[i] {
-				t.Logf("seed %d: job %d completed at %v, reference %v (arrivals %+v)",
-					seed, i, got[i], want[i], arrivals)
-				return false
+				eng := sim.NewEngine()
+				p := NewProcessor(eng, 0, DefaultSlice)
+				jobs := make([]*Job, len(arrivals))
+				for i, a := range arrivals {
+					j := &Job{Demand: a.demand}
+					jobs[i] = j
+					eng.Schedule(a.at, func() { p.Submit(j) })
+				}
+				probes := make([]sim.Time, 8)
+				busy := make([]sim.Time, len(probes))
+				for k := range probes {
+					k := k
+					probes[k] = sim.Time(r.Uint64() % uint64(horizon))
+					eng.Schedule(probes[k], func() { busy[k] = p.BusyTime() })
+				}
+				eng.Run()
+				ok := true
+				for i, j := range jobs {
+					if !j.Done() || j.StartedAt != want.start[i] || j.CompletedAt != want.done[i] {
+						t.Logf("seed %d: job %d ran %v..%v, reference %v..%v (arrivals %+v)",
+							seed, i, j.StartedAt, j.CompletedAt, want.start[i], want.done[i], arrivals)
+						ok = false
+					}
+				}
+				for k, at := range probes {
+					if ref := want.busyAt(at); busy[k] != ref {
+						t.Logf("seed %d: BusyTime at %v = %v, reference %v (arrivals %+v)", seed, at, busy[k], ref, arrivals)
+						ok = false
+					}
+				}
+				return ok
 			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+			if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

@@ -1,16 +1,22 @@
 package server
 
-// In-package unit tests for the WAL primitives and the Retry-After
-// estimator; the HTTP-level crash and fault suites live in
-// resilience_test.go (package server_test).
+// In-package unit tests for the WAL primitives, replay of a retired
+// schema version, and the Retry-After estimator; the HTTP-level crash
+// and fault suites live in resilience_test.go (package server_test).
 
 import (
+	"context"
+	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/core"
+	"repro/internal/experiment"
 	"repro/internal/resil"
 )
 
@@ -154,6 +160,61 @@ func TestJournalTornWriteInjected(t *testing.T) {
 	}
 	if len(recs) != 1 || recs[0].Type != "submit" {
 		t.Fatalf("want exactly the intact first record back, got %+v", recs)
+	}
+}
+
+// TestReplayFailsV1Request: a job journaled with a schema_version 1
+// request and still queued at the crash replays to a terminal failure
+// that names the unsupported version. It never reaches the simulator,
+// and a second restart restores the failure instead of re-running it.
+func TestReplayFailsV1Request(t *testing.T) {
+	dir := t.TempDir()
+	jl, _, err := openJournal(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := uint64(0x5e4018)
+	run := api.RunRequest{
+		SchemaVersion: 1, Algorithm: api.AlgPredictive, Seed: &seed,
+		Task: api.TaskSpec{Pattern: api.Pattern{Kind: api.PatternCustom, Values: []int{500, 700}}},
+	}
+	if err := jl.append(journalRecord{Type: "submit", Job: "job-1", MS: 100, Kind: "run", Run: &run, Fingerprint: "v1"}); err != nil {
+		t.Fatal(err)
+	}
+	jl.Close()
+
+	calls := 0
+	experiment.SetSimHook(func(cfg core.Config, _ core.Algorithm) error {
+		if cfg.Seed == seed {
+			calls++
+		}
+		return nil
+	})
+	t.Cleanup(func() { experiment.SetSimHook(nil) })
+	for restart := 1; restart <= 2; restart++ {
+		s, err := New(Options{DataDir: dir, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+		if err != nil {
+			t.Fatalf("restart %d: %v", restart, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err = s.Drain(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("restart %d: %v", restart, err)
+		}
+		s.mu.Lock()
+		j := s.jobs["job-1"]
+		s.mu.Unlock()
+		if j == nil {
+			t.Fatalf("restart %d: journaled job not restored", restart)
+		}
+		got := j.snapshot()
+		if got.State != api.JobFailed || got.Attempts != 1 || !strings.Contains(got.Error, "schema_version 1 unsupported") {
+			t.Errorf("restart %d: got state %q, %d attempts, error %q; want one failed attempt naming schema_version 1", restart, got.State, got.Attempts, got.Error)
+		}
+	}
+	if calls != 0 {
+		t.Errorf("v1 request reached the simulator %d times", calls)
 	}
 }
 

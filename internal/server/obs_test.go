@@ -7,7 +7,6 @@ package server_test
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
@@ -284,11 +283,11 @@ func TestSSEStreamStillServesTerminalFrame(t *testing.T) {
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
-			var frame api.Job
-			if err := json.Unmarshal([]byte(data), &frame); err != nil {
+			frame, err := api.ParseSSE(api.EventJob, []byte(data))
+			if err != nil {
 				t.Fatal(err)
 			}
-			states = append(states, frame.State)
+			states = append(states, frame.Job.State)
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -13,8 +13,8 @@
 //
 //	POST   /v1/runs             submit one simulation        → api.Job
 //	POST   /v1/sweeps           submit one figure sweep      → api.Job
-//	GET    /v1/jobs             list jobs, newest last       → []api.Job
-//	                            (?limit=/?after= pages       → api.JobPage)
+//	GET    /v1/jobs             list jobs, newest last       → api.JobPage
+//	                            (?limit=/?after= page it)
 //	GET    /v1/jobs/{id}        job status + result          → api.Job
 //	DELETE /v1/jobs/{id}        cancel a queued/running job  → api.Job
 //	GET    /v1/jobs/{id}/events SSE stream of job snapshots
@@ -644,13 +644,6 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, j.snapshot())
 	}
-	// ?limit=/?after= switch the response to the paged JobPage shape; the
-	// parameterless call keeps returning the bare array for one
-	// deprecation window (DESIGN.md §6).
-	if !q.Has("limit") && !q.Has("after") {
-		writeJSON(w, http.StatusOK, out)
-		return
-	}
 	page, err := pageJobs(out, q.Get("limit"), q.Get("after"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
@@ -661,7 +654,7 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 
 // pageJobs slices the (already filtered) submission-ordered job list
 // into one page: entries strictly after the `after` cursor, at most
-// `limit` of them. NextAfter carries the cursor of the following page,
+// `limit` of them (all of them when limit is empty). NextAfter carries the cursor of the following page,
 // empty when the page reaches the end.
 func pageJobs(jobs []api.Job, limitStr, after string) (api.JobPage, error) {
 	start := 0
@@ -756,11 +749,6 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	s.metrics.AddSSESubscribers(1)
 	defer s.metrics.AddSSESubscribers(-1)
 
-	// Frames go through the shared api.Event envelope. Job frames stay
-	// UNNAMED (no `event:` line, bare Job payload) for one deprecation
-	// window — pre-envelope clients parse only id:/data: lines, and an
-	// `event: snapshot`-style name would be invisible to them but a
-	// changed payload shape would not (DESIGN.md §6).
 	emit := func(seq uint64, snap api.Job) bool {
 		ev := api.Event{Type: api.EventJob, Seq: seq, Job: &snap}
 		if err := ev.WriteSSE(w); err != nil {

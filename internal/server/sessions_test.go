@@ -355,13 +355,13 @@ func TestJobsPagination(t *testing.T) {
 		}
 	}
 
-	// The bare call still returns the legacy array (deprecation window).
+	// The parameterless call lists every job in one page.
 	all, err := cl.Jobs(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(all) != 5 {
-		t.Fatalf("bare list has %d jobs, want 5", len(all))
+		t.Fatalf("unpaged list has %d jobs, want 5", len(all))
 	}
 
 	// Page through with limit 2 and chain cursors.

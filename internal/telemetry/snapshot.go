@@ -186,14 +186,3 @@ func (r *Recorder) WriteSnapshot(w io.Writer) error {
 	}
 	return nil
 }
-
-// WritePrometheus renders the registry in Prometheus text format; a nil
-// recorder writes nothing.
-func (r *Recorder) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.reg.WritePrometheus(w)
-}

@@ -9,12 +9,14 @@
 // test (asserted at < 2 ns/op by BenchmarkNilRecorder). When enabled,
 // hot-path recording is allocation-free after handle warm-up: metric
 // handles are resolved once per (task, stage) and cached, spans append
-// to an amortized buffer, and a mutex serializes access so the optional
-// live HTTP exposition can read snapshots while a run is in flight.
+// to an amortized buffer, and a mutex serializes access so an exporter
+// may read while a run is in flight.
 //
-// Exporters: Prometheus text format (Registry.WritePrometheus), JSON
-// snapshots (Snapshot/WriteSnapshot), and Chrome trace_event JSON
-// (WriteChromeTrace) loadable in Perfetto or chrome://tracing.
+// Exporters: JSON snapshots (Snapshot/WriteSnapshot) and Chrome
+// trace_event JSON (WriteChromeTrace) loadable in Perfetto or
+// chrome://tracing. The Registry also renders Prometheus text format
+// (Registry.WritePrometheus), which rmserved's /v1/metrics serves
+// through obs.Metrics.
 package telemetry
 
 import (

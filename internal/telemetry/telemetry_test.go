@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand/v2"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -326,9 +325,6 @@ func TestNilRecorderSafe(t *testing.T) {
 		t.Errorf("nil snapshot = %+v", s)
 	}
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
-		t.Errorf("nil WritePrometheus wrote %d bytes, err %v", buf.Len(), err)
-	}
 	if err := r.WriteChromeTrace(&buf); err != nil {
 		t.Errorf("nil WriteChromeTrace: %v", err)
 	}
@@ -476,36 +472,6 @@ func TestWriteChromeTraceEmptyIsValid(t *testing.T) {
 	}
 	if _, ok := doc["traceEvents"].([]any); !ok {
 		t.Errorf("traceEvents missing or not an array: %v", doc)
-	}
-}
-
-func TestHTTPHandlerEndpoints(t *testing.T) {
-	r := New(DefaultConfig())
-	r.RecordEndToEnd("aaw", 0, 95*sim.Millisecond, sim.Second, false)
-	srv := httptest.NewServer(r.Handler())
-	defer srv.Close()
-
-	for path, wantSub := range map[string]string{
-		"/metrics":       "rm_e2e_latency_count",
-		"/snapshot.json": `"tasks"`,
-		"/trace.json":    "traceEvents",
-		"/":              "/metrics",
-	} {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(resp.Body); err != nil {
-			t.Fatalf("read %s: %v", path, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Errorf("GET %s: status %d", path, resp.StatusCode)
-		}
-		if !strings.Contains(buf.String(), wantSub) {
-			t.Errorf("GET %s missing %q in:\n%s", path, wantSub, buf.String())
-		}
 	}
 }
 
