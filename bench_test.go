@@ -259,10 +259,3 @@ func BenchmarkAblationDisciplines(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkClockSyncOverhead measures the cost of running the Mills-style
-// synchronizer and node-local clocks alongside the workload.
-func BenchmarkClockSyncOverhead(b *testing.B) {
-	runOne(b, core.Predictive, experiment.TriangularFactory(20*experiment.WorkloadUnit),
-		func(c *core.Config) { c.ClockSync = true })
-}

@@ -220,14 +220,38 @@ func TestGoldenFixturesDecode(t *testing.T) {
 	}
 }
 
+// TestRunRequestIgnoresRetiredFields pins the lenient decode that keeps
+// journaled requests replayable after a config field is retired: a
+// request naming a field this build no longer has decodes to the same
+// value as one without it.
+func TestRunRequestIgnoresRetiredFields(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "run_request.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["config"].(map[string]any)["retired_knob_ns"] = 250000000
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	var got RunRequest
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatalf("request with a retired field rejected: %v", err)
+	}
+	if want := goldenDTOs()["run_request"]; !reflect.DeepEqual(got, want) {
+		t.Errorf("retired field changed the decoded request:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestConfigRoundTrip proves the Table 1 defaults (and a config with
 // every optional section populated) survive the wire exactly.
 func TestConfigRoundTrip(t *testing.T) {
 	cases := map[string]core.Config{"default": core.DefaultConfig()}
 	loaded := core.DefaultConfig()
 	loaded.Seed = 99
-	loaded.ClockSync = true
-	loaded.ClockDriftPPM = 50
 	loaded.Faults = []core.Fault{{Node: 1, At: 5_000_000_000}}
 	loaded.Degradation = core.HardenedDegradation()
 	loaded.Network.DropProb = 0.01

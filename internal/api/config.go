@@ -35,11 +35,6 @@ type Config struct {
 	Network NetworkConfig `json:"network"`
 	Monitor MonitorConfig `json:"monitor"`
 
-	ClockSync            bool    `json:"clock_sync,omitempty"`
-	ClockDriftPPM        float64 `json:"clock_drift_ppm,omitempty"`
-	ClockInitialOffsetNS int64   `json:"clock_initial_offset_ns,omitempty"`
-	ClockSyncPeriodNS    int64   `json:"clock_sync_period_ns,omitempty"`
-
 	Faults      []Fault           `json:"faults,omitempty"`
 	Chaos       ChaosConfig       `json:"chaos,omitempty"`
 	Degradation DegradationConfig `json:"degradation,omitempty"`
@@ -138,11 +133,6 @@ func ConfigFromCore(c core.Config) Config {
 		Lanes:           c.Lanes,
 		Parallel:        c.Parallel,
 
-		ClockSync:            c.ClockSync,
-		ClockDriftPPM:        c.ClockDriftPPM,
-		ClockInitialOffsetNS: int64(c.ClockInitialOffset),
-		ClockSyncPeriodNS:    int64(c.ClockSyncPeriod),
-
 		Network: NetworkConfig{
 			BandwidthBps:            c.Network.BandwidthBps,
 			MTU:                     c.Network.MTU,
@@ -215,11 +205,6 @@ func (c Config) ToCore() (core.Config, error) {
 		Seed:            c.Seed,
 		Lanes:           c.Lanes,
 		Parallel:        c.Parallel,
-
-		ClockSync:          c.ClockSync,
-		ClockDriftPPM:      c.ClockDriftPPM,
-		ClockInitialOffset: sim.Time(c.ClockInitialOffsetNS),
-		ClockSyncPeriod:    sim.Time(c.ClockSyncPeriodNS),
 
 		Network: network.Config{
 			BandwidthBps:            c.Network.BandwidthBps,

@@ -72,11 +72,6 @@ func WithRetries(b resil.Backoff) Option {
 	return func(c *Client) { c.Retry = b }
 }
 
-// WithLogger installs a structured logger for per-request debug lines.
-func WithLogger(l *slog.Logger) Option {
-	return func(c *Client) { c.Logger = l }
-}
-
 // WithPollInterval paces the polling fallback in Wait.
 func WithPollInterval(d time.Duration) Option {
 	return func(c *Client) { c.PollInterval = d }

@@ -122,19 +122,6 @@ type Config struct {
 	// from the run fingerprint. No effect when Lanes ≤ 1.
 	Parallel int
 
-	// ClockSync, when enabled, gives every node a drifting local clock,
-	// disciplines the clocks with a Mills-style synchronizer over the
-	// shared segment (§3 item 12 made operational: the NTP traffic rides
-	// the same wire), and timestamps the monitor's stage observations
-	// with the node-local clocks instead of true simulation time.
-	ClockSync bool
-	// ClockDriftPPM bounds each node's random drift rate (± this value).
-	ClockDriftPPM float64
-	// ClockInitialOffset bounds each node's random initial offset.
-	ClockInitialOffset sim.Time
-	// ClockSyncPeriod is the synchronizer's exchange period.
-	ClockSyncPeriod sim.Time
-
 	// Faults injects node crashes: survivability through replication is
 	// the motivation the paper opens with, and fail-over exercises the
 	// same allocation machinery as workload adaptation.
@@ -238,11 +225,6 @@ func DefaultConfig() Config {
 		WarmupDemand:    25 * sim.Millisecond,
 		OverlapFraction: 0.10,
 		Seed:            1,
-
-		ClockSync:          false,
-		ClockDriftPPM:      50,
-		ClockInitialOffset: 5 * sim.Millisecond,
-		ClockSyncPeriod:    250 * sim.Millisecond,
 	}
 }
 
@@ -275,14 +257,6 @@ func (c Config) Validate() error {
 	}
 	if c.Lanes >= 2 && c.NumNodes%c.Lanes != 0 {
 		errs = append(errs, fmt.Errorf("core: %d lanes must evenly partition %d nodes", c.Lanes, c.NumNodes))
-	}
-	if c.ClockSync {
-		if c.ClockDriftPPM < 0 || c.ClockInitialOffset < 0 {
-			errs = append(errs, fmt.Errorf("core: negative clock drift/offset bounds"))
-		}
-		if c.ClockSyncPeriod <= 0 {
-			errs = append(errs, fmt.Errorf("core: non-positive clock sync period %v", c.ClockSyncPeriod))
-		}
 	}
 	for i, f := range c.Faults {
 		if f.Node < 0 || f.Node >= c.NumNodes {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/task"
 	"repro/internal/trace"
 )
@@ -15,9 +14,6 @@ type Result struct {
 	Records []*task.PeriodRecord
 	// Events holds every adaptation action taken.
 	Events []trace.AdaptationEvent
-	// MaxClockOffset is the largest client-vs-server clock error at the
-	// end of the run; zero unless Config.ClockSync is enabled.
-	MaxClockOffset sim.Time
 	// EventsFired is the total number of engine events the run executed.
 	// Two runs of the same configuration must report the same count — a
 	// cheap determinism fingerprint alongside the full trace.

@@ -213,7 +213,7 @@ func (s *system) launch(rt *runtimeTask, c, items int) {
 	}
 
 	// Stage 0's inputs (the sensor reports) are available at release.
-	inst.rec.Stages[0].ReadyAt = s.nodeNow(inst.placements[0][0])
+	inst.rec.Stages[0].ReadyAt = s.eng.Now()
 	for idx := range inst.placements[0] {
 		s.submitReplicaJob(inst, 0, idx)
 	}
@@ -259,10 +259,7 @@ func (rj *replicaJob) onComplete(at sim.Time) {
 func (s *system) replicaDone(inst *instance, stage, idx int, at sim.Time) {
 	inst.pendingJobs[stage]--
 	if inst.pendingJobs[stage] == 0 {
-		// Observations are timestamped with the completing node's local
-		// clock — the "global time scale" of Figure 1 is only as good as
-		// the clock synchronization that provides it.
-		inst.rec.Stages[stage].DoneAt = s.nodeNow(inst.placements[stage][idx])
+		inst.rec.Stages[stage].DoneAt = s.eng.Now()
 	}
 	spec := inst.rt.setup.Spec
 	if stage == len(spec.Subtasks)-1 {
@@ -369,11 +366,10 @@ func (s *system) msgArrived(inst *instance, stage, destIdx int, at sim.Time) {
 	inst.readyCount[stage]++
 	if inst.readyCount[stage] == len(inst.placements[stage]) {
 		// Last replica's inputs complete: the stage is observed ready
-		// and the previous stage's outputs fully delivered, per the
-		// receiving node's clock.
-		local := s.nodeNow(inst.placements[stage][destIdx])
-		inst.rec.Stages[stage].ReadyAt = local
-		inst.rec.Stages[stage-1].DeliveredAt = local
+		// and the previous stage's outputs fully delivered.
+		now := s.eng.Now()
+		inst.rec.Stages[stage].ReadyAt = now
+		inst.rec.Stages[stage-1].DeliveredAt = now
 	}
 	s.submitReplicaJob(inst, stage, destIdx)
 }

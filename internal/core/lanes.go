@@ -117,8 +117,8 @@ func runLanes(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSetup
 		lcfg := cfg
 		lcfg.NumNodes = laneSize
 		lcfg.Lanes, lcfg.Parallel = 0, 0
-		// Derived per-lane streams decorrelate demand noise, clock drift
-		// and segment loss across lanes while keeping every lane a pure
+		// Derived per-lane streams decorrelate demand noise and segment
+		// loss across lanes while keeping every lane a pure
 		// function of (Seed, lane).
 		lcfg.Seed = laneSeed(cfg.Seed, l)
 		if cfg.Network.LossSeed != 0 {
@@ -181,7 +181,6 @@ func mergeLaneResults(ls *sim.LaneSet, systems []*system) Result {
 	var records []*task.PeriodRecord
 	var events []trace.AdaptationEvent
 	var fired uint64
-	var maxOffset sim.Time
 	for _, sys := range systems {
 		records = append(records, sys.log.Records()...)
 		for _, e := range sys.log.Events() {
@@ -192,19 +191,15 @@ func mergeLaneResults(ls *sim.LaneSet, systems []*system) Result {
 			events = append(events, e)
 		}
 		fired += sys.eng.EventsFired()
-		if sys.maxOffset > maxOffset {
-			maxOffset = sys.maxOffset
-		}
 	}
 	sort.SliceStable(records, func(i, j int) bool { return records[i].CompletedAt < records[j].CompletedAt })
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 
 	return Result{
-		Metrics:        base.collector.Finish(),
-		Records:        records,
-		Events:         events,
-		MaxClockOffset: maxOffset,
-		EventsFired:    fired,
+		Metrics:     base.collector.Finish(),
+		Records:     records,
+		Events:      events,
+		EventsFired: fired,
 	}
 }
 

@@ -56,7 +56,7 @@ func lanePattern(i int) workload.Pattern {
 // every adaptation event, and the run counters.
 func resultFingerprint(res Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "metrics=%+v\nmaxOffset=%d fired=%d\n", res.Metrics, res.MaxClockOffset, res.EventsFired)
+	fmt.Fprintf(&b, "metrics=%+v\nfired=%d\n", res.Metrics, res.EventsFired)
 	for _, r := range res.Records {
 		fmt.Fprintf(&b, "rec %d %d %d %d %d %+v\n", r.Period, r.Items, r.ReleasedAt, r.CompletedAt, r.Deadline, r.Stages)
 	}
@@ -150,29 +150,6 @@ func head(a, b string) (string, string) {
 
 func laneTestConfigDefaultChaos(lanes, parallel int) Config {
 	return laneTestConfig(lanes, parallel, false)
-}
-
-// TestLaneClockSyncIdentical covers the per-lane clock-sync domains
-// under the same serial/parallel cross-check.
-func TestLaneClockSyncIdentical(t *testing.T) {
-	cfg := laneTestConfigDefaultChaos(4, 1)
-	cfg.ClockSync = true
-	setups := laneTestSetups(8)
-	serial, err := Run(cfg, Predictive, setups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Parallel = 4
-	parallel, err := Run(cfg, Predictive, setups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resultFingerprint(serial) != resultFingerprint(parallel) {
-		t.Fatal("clock-sync lane run diverges between serial and parallel drivers")
-	}
-	if serial.MaxClockOffset == 0 {
-		t.Fatal("expected a nonzero residual clock offset with sync enabled")
-	}
 }
 
 // TestLaneGlobalWorkloadPropagates: the cross-lane Σ-items reports must

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/chaos"
-	"repro/internal/clocksync"
 	"repro/internal/cpu"
 	"repro/internal/deadline"
 	"repro/internal/manager"
@@ -36,10 +35,6 @@ type system struct {
 	sysMeters []*cpu.Meter
 	netMeter  *network.Meter
 
-	// clocks and sync are populated only when cfg.ClockSync is enabled.
-	clocks []*clocksync.Clock
-	sync   *clocksync.Synchronizer
-
 	// down marks crashed nodes (Config.Faults).
 	down []bool
 	// nodeEpoch increments on every node down/up transition; instances
@@ -58,10 +53,6 @@ type system struct {
 
 	tasks []*runtimeTask
 
-	// maxOffset is the synchronizer's residual clock error, captured when
-	// the tick chain is stopped at pattern end. Zero without ClockSync.
-	maxOffset sim.Time
-
 	// Lane coupling; all zero/nil on a single-segment run. laneID and
 	// laneBase place this segment inside a lane-partitioned run (local
 	// node n is global node laneBase+n), uplink carries the per-segment
@@ -79,15 +70,6 @@ type system struct {
 	freeTM     *taskMsg
 	perDestBuf []int
 	haloBuf    []int
-}
-
-// nodeNow returns the node-local clock reading (true time when clock
-// synchronization is disabled).
-func (s *system) nodeNow(proc int) sim.Time {
-	if s.clocks == nil {
-		return s.eng.Now()
-	}
-	return s.clocks[proc].Now()
 }
 
 // runtimeTask is one deployed task with its monitoring state.
@@ -269,8 +251,8 @@ func runContext(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSet
 
 // buildSystem assembles one simulated segment on the given engine:
 // processors, meters, telemetry observers, the fault schedule, runtime
-// tasks, one periodic period-start source per task (its sequence numbers
-// reserved up front), and the synchronizer stop hook.
+// tasks, and one periodic period-start source per task (its sequence
+// numbers reserved up front).
 // The caller has validated cfg/alg/setups and resolved the concrete
 // fault schedule. Construction order is load-bearing: it fixes the
 // engine's event sequence numbers, and therefore the run.
@@ -307,16 +289,6 @@ func buildSystem(cfg Config, alg Algorithm, setups []TaskSetup, eng *sim.Engine,
 				s.tel.RecordJobWait(procID, j.StartedAt-j.SubmittedAt)
 			})
 		}
-		// The segment observer sees every delivery; task messages are
-		// recorded by the facade with full context and marked by their
-		// *taskMsg Meta, so only system traffic (clock sync) lands here.
-		s.seg.SetObserver(func(m *network.Message) {
-			if _, ok := m.Meta.(*taskMsg); ok {
-				return
-			}
-			s.tel.RecordMessage("", -1, -1, m.From, m.To, m.PayloadBytes,
-				m.EnqueuedAt, m.SentAt, m.DeliveredAt)
-		})
 	}
 
 	s.down = make([]bool, cfg.NumNodes)
@@ -325,9 +297,6 @@ func buildSystem(cfg Config, alg Algorithm, setups []TaskSetup, eng *sim.Engine,
 		s.nodeChangedAt[i] = farPast
 	}
 	s.lastTransition = farPast
-	if cfg.ClockSync {
-		s.setupClocks()
-	}
 	for _, f := range faults {
 		f := f
 		s.eng.Schedule(f.At, func() { s.failNode(f.Node) })
@@ -351,21 +320,6 @@ func buildSystem(cfg Config, alg Algorithm, setups []TaskSetup, eng *sim.Engine,
 		s.eng.SchedulePeriodic(0, rt.setup.Spec.Period, rt.setup.Pattern.Periods(),
 			func(c int) { s.runPeriod(rt, c) })
 	}
-	// Stop the synchronizer's tick chain at the end of the last task's
-	// pattern so the engine can drain, and capture the residual clock
-	// error there.
-	if s.sync != nil {
-		var end sim.Time
-		for _, rt := range s.tasks {
-			if e := sim.Time(rt.setup.Pattern.Periods()) * rt.setup.Spec.Period; e > end {
-				end = e
-			}
-		}
-		s.eng.Schedule(end, func() {
-			s.sync.Stop()
-			s.maxOffset = s.sync.MaxAbsOffset()
-		})
-	}
 	return s, nil
 }
 
@@ -373,11 +327,10 @@ func buildSystem(cfg Config, alg Algorithm, setups []TaskSetup, eng *sim.Engine,
 func (s *system) finish() Result {
 	s.collector.CountDropped(int(s.seg.Dropped()))
 	return Result{
-		Metrics:        s.collector.Finish(),
-		Records:        s.log.Records(),
-		Events:         s.log.Events(),
-		MaxClockOffset: s.maxOffset,
-		EventsFired:    s.eng.EventsFired(),
+		Metrics:     s.collector.Finish(),
+		Records:     s.log.Records(),
+		Events:      s.log.Events(),
+		EventsFired: s.eng.EventsFired(),
 	}
 }
 
@@ -484,25 +437,6 @@ func (s *system) repairPlacements(rt *runtimeTask, c int) {
 			}
 		}
 	}
-}
-
-// setupClocks builds per-node drifting clocks and the Mills-style
-// synchronizer, with node 0 acting as the reference.
-func (s *system) setupClocks() {
-	rng := sim.NewRand(s.cfg.Seed, 0xc10c)
-	for i := 0; i < s.cfg.NumNodes; i++ {
-		offset := sim.Time(rng.Int64N(2*int64(s.cfg.ClockInitialOffset)+1)) - s.cfg.ClockInitialOffset
-		drift := (2*rng.Float64() - 1) * s.cfg.ClockDriftPPM
-		if i == 0 {
-			offset, drift = 0, 0
-		}
-		s.clocks = append(s.clocks, clocksync.NewClock(s.eng, offset, drift))
-	}
-	s.sync = clocksync.NewSynchronizer(s.eng, s.seg, 0, s.clocks[0], s.cfg.ClockSyncPeriod, 0.5)
-	for i := 1; i < s.cfg.NumNodes; i++ {
-		s.sync.AddClient(i, s.clocks[i])
-	}
-	s.sync.Start()
 }
 
 func (s *system) newRuntimeTask(setup TaskSetup) (*runtimeTask, error) {

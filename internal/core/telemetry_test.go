@@ -11,11 +11,10 @@ import (
 )
 
 // runWithTelemetry drives the benchmark task with a recorder attached.
-func runWithTelemetry(t *testing.T, alg Algorithm, pattern workload.Pattern, clockSync bool) *telemetry.Recorder {
+func runWithTelemetry(t *testing.T, alg Algorithm, pattern workload.Pattern) *telemetry.Recorder {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Telemetry = telemetry.New(telemetry.DefaultConfig())
-	cfg.ClockSync = clockSync
 	if _, err := Run(cfg, alg, []TaskSetup{benchSetup(pattern)}); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +33,7 @@ func TestTelemetryDisabledByDefault(t *testing.T) {
 func TestTelemetryCapturesRun(t *testing.T) {
 	pattern := workload.NewTriangular(500, 3000, 60, 3)
 	periods := pattern.Periods()
-	rec := runWithTelemetry(t, Predictive, pattern, false)
+	rec := runWithTelemetry(t, Predictive, pattern)
 	snap := rec.Snapshot()
 
 	if len(snap.Stages) == 0 || len(snap.Tasks) != 1 {
@@ -105,29 +104,8 @@ func TestTelemetryCapturesRun(t *testing.T) {
 	}
 }
 
-func TestTelemetryClockSyncTrafficIsSystemScoped(t *testing.T) {
-	rec := runWithTelemetry(t, Predictive, workload.NewConstant(500, 10), true)
-	var sync, task int
-	for _, s := range rec.Spans() {
-		if s.Kind != telemetry.KindMessage {
-			continue
-		}
-		if s.Task == "" {
-			sync++
-		} else {
-			task++
-		}
-	}
-	if sync == 0 {
-		t.Error("clock-sync exchanges produced no system-scoped message spans")
-	}
-	if task == 0 {
-		t.Error("no task-scoped message spans")
-	}
-}
-
 func TestTelemetryExportersOnRealRun(t *testing.T) {
-	rec := runWithTelemetry(t, Predictive, workload.NewConstant(1500, 10), false)
+	rec := runWithTelemetry(t, Predictive, workload.NewConstant(1500, 10))
 
 	var prom bytes.Buffer
 	if err := rec.Registry().WritePrometheus(&prom); err != nil {

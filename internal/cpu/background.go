@@ -27,8 +27,7 @@ type BackgroundLoad struct {
 	jitter  float64
 	rng     *rand.Rand
 
-	running  bool
-	produced sim.Time // total demand submitted
+	running bool
 
 	// Steady-state cycling allocates nothing: one Job struct is reused
 	// across chunks (the next submit strictly follows the previous
@@ -65,12 +64,6 @@ func (b *BackgroundLoad) SetTarget(u float64) {
 // SetJitter sets multiplicative demand jitter amplitude in [0, 1); it is
 // ignored when the load was built without an rng.
 func (b *BackgroundLoad) SetJitter(amp float64) { b.jitter = amp }
-
-// Target returns the configured utilization fraction.
-func (b *BackgroundLoad) Target() float64 { return b.target }
-
-// Produced returns the total CPU demand submitted so far.
-func (b *BackgroundLoad) Produced() sim.Time { return b.produced }
 
 // Start begins the compute/sleep cycle; it is a no-op if already running.
 func (b *BackgroundLoad) Start() {
@@ -112,7 +105,6 @@ func (b *BackgroundLoad) cycle() {
 		b.wake = b.eng.After(b.quantum, b.onCycle)
 		return
 	}
-	b.produced += compute
 	b.inFlight = true
 	b.job.Demand = compute
 	b.proc.Submit(&b.job)

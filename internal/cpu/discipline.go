@@ -46,8 +46,6 @@ type Scheduler interface {
 	Submit(j *Job)
 	SetObserver(fn JobObserver)
 	BusyTime() sim.Time
-	QueueLen() int
-	Busy() bool
 	Completed() uint64
 	Fail()
 	Recover()
@@ -133,12 +131,6 @@ func (p *PSProcessor) ID() int { return p.id }
 
 // SetObserver implements Scheduler.
 func (p *PSProcessor) SetObserver(fn JobObserver) { p.observer = fn }
-
-// QueueLen implements Scheduler.
-func (p *PSProcessor) QueueLen() int { return len(p.active) }
-
-// Busy implements Scheduler.
-func (p *PSProcessor) Busy() bool { return len(p.active) > 0 }
 
 // Completed implements Scheduler.
 func (p *PSProcessor) Completed() uint64 { return p.completed }

@@ -33,9 +33,6 @@ type Job struct {
 	done        bool
 }
 
-// Remaining returns the unserved CPU demand.
-func (j *Job) Remaining() sim.Time { return j.remaining }
-
 // Done reports whether the job has completed.
 func (j *Job) Done() bool { return j.done }
 
@@ -136,13 +133,6 @@ func (p *Processor) SetObserver(fn JobObserver) { p.observer = fn }
 
 // Slice returns the round-robin quantum.
 func (p *Processor) Slice() sim.Time { return p.slice }
-
-// QueueLen returns the number of jobs in the ready queue, including the
-// running one.
-func (p *Processor) QueueLen() int { return p.queue.len() }
-
-// Busy reports whether a job is currently running.
-func (p *Processor) Busy() bool { return p.busy }
 
 // Completed returns the number of jobs finished so far.
 func (p *Processor) Completed() uint64 { return p.completed }

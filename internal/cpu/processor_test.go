@@ -164,7 +164,7 @@ func TestBusyTimeIncludesInProgressBurst(t *testing.T) {
 
 func TestIdleProcessorState(t *testing.T) {
 	_, p := newProc(t)
-	if p.Busy() || p.QueueLen() != 0 || p.BusyTime() != 0 {
+	if p.Completed() != 0 || p.BusyTime() != 0 || p.Failed() {
 		t.Error("fresh processor not idle")
 	}
 	if p.ID() != 0 || p.Slice() != DefaultSlice {

@@ -25,7 +25,11 @@ import (
 // v4: core.Config gained the lane partition (Lanes, which shapes
 // results and enters the fingerprint) and the Parallel worker knob
 // (byte-identical results for every value, excluded below).
-const cacheSchema = 4
+//
+// v5: core.Config lost the four clock-synchronization fields, which
+// leaves the %#v fingerprint text. Outcomes are unchanged (clock sync
+// was off in every run), but every key is new.
+const cacheSchema = 5
 
 // demandProbeSizes are the item counts at which each subtask's demand
 // curve is sampled into the fingerprint. Demand functions are closures,

@@ -75,8 +75,6 @@ type Monitor struct {
 	// windows smooth each stage's observed latency when SmoothingWindow
 	// exceeds one.
 	windows []*stats.SlidingWindow
-	// staleDiscards counts records AnalyzeAt rejected for age.
-	staleDiscards int
 }
 
 // New returns a monitor for the task with an initial deadline assignment.
@@ -163,14 +161,10 @@ func (m *Monitor) StageSlacks(rec *task.PeriodRecord) []StageSlack {
 // it is exactly Analyze.
 func (m *Monitor) AnalyzeAt(rec *task.PeriodRecord, now sim.Time) Analysis {
 	if rec != nil && m.cfg.StalenessWindow > 0 && rec.CompletedAt < now-m.cfg.StalenessWindow {
-		m.staleDiscards++
 		rec = nil
 	}
 	return m.Analyze(rec)
 }
-
-// StaleDiscards returns how many records AnalyzeAt rejected for age.
-func (m *Monitor) StaleDiscards() int { return m.staleDiscards }
 
 // Analyze classifies every stage of a completed period record.
 func (m *Monitor) Analyze(rec *task.PeriodRecord) Analysis {

@@ -213,20 +213,9 @@ type Segment struct {
 	cumBusy    sim.Time
 	busyStart  sim.Time
 	sent       uint64
-	wireBytes  int64
 	localSends uint64
 	dropped    uint64
-
-	observer func(m *Message)
 }
-
-// SetObserver installs a delivery observer: it sees every message —
-// task data, clock-synchronization exchanges, anything riding the
-// segment — at the moment it is delivered, with EnqueuedAt/SentAt/
-// DeliveredAt final, before the message's own OnDeliver callback.
-// Telemetry hooks in here so the buffer-vs-wire delay split (eqs. 4–6)
-// is observable for all traffic.
-func (s *Segment) SetObserver(fn func(m *Message)) { s.observer = fn }
 
 // NewSegment returns a segment with the given configuration.
 func NewSegment(eng *sim.Engine, cfg Config) *Segment {
@@ -320,9 +309,6 @@ func (s *Segment) localDeliver() {
 	m := s.localQueue.popFront()
 	m.DeliveredAt = s.eng.Now()
 	m.delivered = true
-	if s.observer != nil {
-		s.observer(m)
-	}
 	if m.OnDeliver != nil {
 		m.OnDeliver(m)
 	}
@@ -351,7 +337,6 @@ func (s *Segment) txDone() {
 	m, tx := s.inflight, s.inflightTx
 	s.cumBusy += tx
 	s.sent++
-	s.wireBytes += s.WireBytes(m.PayloadBytes)
 	now := s.eng.Now()
 	if len(s.cfg.Partitions) > 0 && s.inPartition(now) {
 		s.drop(m)
@@ -378,9 +363,6 @@ func (s *Segment) txDone() {
 	m.DeliveredAt = now
 	m.delivered = true
 	s.transmitNext()
-	if s.observer != nil {
-		s.observer(m)
-	}
 	if m.OnDeliver != nil {
 		m.OnDeliver(m)
 	}
@@ -390,17 +372,13 @@ func (s *Segment) txDone() {
 func (s *Segment) deliver(m *Message) {
 	m.DeliveredAt = s.eng.Now()
 	m.delivered = true
-	if s.observer != nil {
-		s.observer(m)
-	}
 	if m.OnDeliver != nil {
 		m.OnDeliver(m)
 	}
 }
 
 // drop loses a transmitted message: the bits occupied the wire but never
-// arrived. The observer does not see it (no delivery timestamps exist);
-// the sender hears about it only through OnDrop.
+// arrived; the sender hears about it only through OnDrop.
 func (s *Segment) drop(m *Message) {
 	s.dropped++
 	s.transmitNext()
@@ -419,13 +397,6 @@ func (s *Segment) inPartition(now sim.Time) bool {
 	return s.partIdx < len(ps) && ps[s.partIdx].Start <= now
 }
 
-// QueueLen returns the number of messages waiting (excluding the one in
-// flight).
-func (s *Segment) QueueLen() int { return s.queue.len() }
-
-// Busy reports whether a transmission is in progress.
-func (s *Segment) Busy() bool { return s.busy }
-
 // Sent returns the number of messages fully transmitted over the wire.
 func (s *Segment) Sent() uint64 { return s.sent }
 
@@ -435,9 +406,6 @@ func (s *Segment) LocalSends() uint64 { return s.localSends }
 // Dropped returns the number of wire messages lost to drop probability or
 // partitions.
 func (s *Segment) Dropped() uint64 { return s.dropped }
-
-// TotalWireBytes returns cumulative bytes transmitted, with overheads.
-func (s *Segment) TotalWireBytes() int64 { return s.wireBytes }
 
 // BusyTime returns cumulative medium-busy time including the in-flight
 // transmission.

@@ -241,45 +241,6 @@ func TestPropertyBufferDelayMonotoneInBacklog(t *testing.T) {
 	}
 }
 
-func TestObserverSeesEveryDelivery(t *testing.T) {
-	eng, s := newSeg(t)
-	var seen []*Message
-	s.SetObserver(func(m *Message) {
-		if !m.Delivered() {
-			t.Error("observer fired before timestamps were final")
-		}
-		if m.DeliveredAt != eng.Now() {
-			t.Errorf("DeliveredAt = %v at sim time %v", m.DeliveredAt, eng.Now())
-		}
-		seen = append(seen, m)
-	})
-
-	var order []*Message
-	local := &Message{From: 2, To: 2, PayloadBytes: 100, OnDeliver: func(m *Message) {
-		order = append(order, m)
-	}}
-	remote := &Message{From: 0, To: 1, PayloadBytes: 4000, OnDeliver: func(m *Message) {
-		order = append(order, m)
-	}}
-	s.Send(remote)
-	s.Send(local)
-	eng.Run()
-
-	if len(seen) != 2 {
-		t.Fatalf("observer saw %d deliveries, want 2", len(seen))
-	}
-	// Observer fires before the message's own OnDeliver: by the time each
-	// OnDeliver appended to order, the observer had already recorded it.
-	if len(order) != 2 {
-		t.Fatalf("OnDeliver fired %d times, want 2", len(order))
-	}
-	for i, m := range order {
-		if seen[i] != m {
-			t.Errorf("delivery %d: observer order diverges from OnDeliver order", i)
-		}
-	}
-}
-
 func TestLocalDeliveryFIFO(t *testing.T) {
 	eng := sim.NewEngine()
 	s := NewSegment(eng, DefaultConfig())

@@ -62,8 +62,10 @@ func get(t *testing.T, url string) (int, string) {
 func TestHealthzReadyzDrain(t *testing.T) {
 	srv, base, cl := newRawServer(t, server.Options{})
 
-	if code, body := get(t, base+"/healthz"); code != http.StatusOK || body != "ok" {
-		t.Fatalf("/healthz = %d %q, want 200 ok", code, body)
+	for _, path := range []string{"/healthz", "/v1/healthz"} {
+		if code, body := get(t, base+path); code != http.StatusOK || body != "ok" {
+			t.Fatalf("%s = %d %q, want 200 ok", path, code, body)
+		}
 	}
 	if code, body := get(t, base+"/readyz"); code != http.StatusOK || body != "ready" {
 		t.Fatalf("/readyz = %d %q, want 200 ready", code, body)
@@ -98,8 +100,10 @@ func TestHealthzReadyzDrain(t *testing.T) {
 	if got, err := cl.Job(context.Background(), j.ID); err != nil || got.State != api.JobRunning {
 		t.Fatalf("job state while draining = %v/%v, want still running (readyz must flip before jobs settle)", got.State, err)
 	}
-	if code, _ := get(t, base+"/healthz"); code != http.StatusOK {
-		t.Fatalf("/healthz = %d during drain, want 200 (liveness is not readiness)", code)
+	for _, path := range []string{"/healthz", "/v1/healthz"} {
+		if code, body := get(t, base+path); code != http.StatusOK || body != "ok" {
+			t.Fatalf("%s = %d %q during drain, want 200 ok (liveness is not readiness)", path, code, body)
+		}
 	}
 
 	// Release the drain and confirm it settles.

@@ -20,7 +20,7 @@
 //	GET    /v1/jobs/{id}/events SSE stream of job snapshots
 //	GET    /v1/stats            scheduler + queue + telemetry → api.Stats
 //	GET    /v1/metrics          Prometheus text exposition
-//	GET    /v1/healthz          liveness (200 "ok", 503 when draining)
+//	GET    /v1/healthz          liveness (200 "ok", drain included)
 //
 // Live simulation sessions (see internal/session) stream a running
 // simulation's state as snapshot + diff SSE frames:
@@ -304,7 +304,7 @@ func (s *Server) routes() {
 	} {
 		s.mux.HandleFunc(route, s.logged(route, h))
 	}
-	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /v1/healthz", s.handleLiveness)
 	s.mux.HandleFunc("GET /healthz", s.handleLiveness)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	if s.opts.EnablePprof {
@@ -829,17 +829,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.metrics.WritePrometheus(w)
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	fmt.Fprintln(w, "ok")
-}
-
-// handleLiveness answers /healthz: the process is alive and serving —
-// true for as long as the listener exists, drain included (a draining
-// daemon must NOT be restarted; it is finishing accepted work).
+// handleLiveness answers /healthz and /v1/healthz: the process is alive
+// and serving — true for as long as the listener exists, drain included
+// (a draining daemon must NOT be restarted; it is finishing accepted
+// work).
 func (s *Server) handleLiveness(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }

@@ -105,9 +105,6 @@ func NewDeployment(spec Spec, homes []int) (*Deployment, error) {
 	return d, nil
 }
 
-// Spec returns the deployed task's spec.
-func (d *Deployment) Spec() Spec { return d.spec }
-
 func (d *Deployment) checkStage(stage int) {
 	if stage < 0 || stage >= len(d.placements) {
 		panic(fmt.Sprintf("task: stage %d out of %d", stage, len(d.placements)))

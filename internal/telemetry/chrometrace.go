@@ -78,9 +78,6 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 				})
 			case KindMessage:
 				name := fmt.Sprintf("%s→st%d #%d", s.Task, s.Stage, s.Period)
-				if s.Task == "" {
-					name = "sync"
-				}
 				if buf := us(s.Mid - s.Start); buf > 0 {
 					trace.TraceEvents = append(trace.TraceEvents, chromeEvent{
 						Name: name + " (buffer)",

@@ -51,9 +51,6 @@ type Gauge struct {
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.v = v }
 
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v }
-
 // namedHist is a registered duration histogram.
 type namedHist struct {
 	name   string

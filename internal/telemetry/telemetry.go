@@ -44,8 +44,8 @@ const (
 // to a pre-grown buffer.
 type Span struct {
 	Kind   SpanKind
-	Task   string // task name; "" for system traffic (clock sync)
-	Stage  int32  // destination stage; -1 when not task-scoped
+	Task   string // task name
+	Stage  int32  // executing stage (exec) or destination stage (message)
 	Period int32
 	Proc   int32 // executing node (exec) or destination node (message)
 	From   int32 // source node (message); -1 for exec spans
@@ -279,7 +279,6 @@ func (r *Recorder) recordJobWait(proc int, wait sim.Time) {
 
 // RecordMessage records one network delivery with its buffer/wire split
 // (paper eqs. 4–6): D_buf = sent−enqueued, D_trans = delivered−sent.
-// System traffic (clock synchronization) passes task="" and stage −1.
 func (r *Recorder) RecordMessage(task string, stage, period, from, to int, payloadBytes int64, enqueued, sent, delivered sim.Time) {
 	if r == nil {
 		return

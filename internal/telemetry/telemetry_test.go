@@ -337,7 +337,7 @@ func TestRecorderEndToEnd(t *testing.T) {
 	r.RecordExec("aaw", 0, 0, 2, 50, 0, sim.Millisecond, 90*sim.Millisecond)
 	r.RecordJobWait(2, sim.Millisecond)
 	r.RecordMessage("aaw", 1, 0, 2, 3, 4096, 90*sim.Millisecond, 92*sim.Millisecond, 95*sim.Millisecond)
-	r.RecordMessage("", -1, -1, 0, 1, 128, 0, sim.Millisecond, 2*sim.Millisecond)
+	r.RecordMessage("aaw", 2, 0, 0, 1, 128, 0, sim.Millisecond, 2*sim.Millisecond)
 	r.RecordStage("aaw", 0, 0, 90*sim.Millisecond, 200*sim.Millisecond)
 	r.RecordEndToEnd("aaw", 0, 95*sim.Millisecond, sim.Second, false)
 	r.ObserveForecast("aaw", 0, 0, 90*sim.Millisecond, 5*sim.Millisecond)
@@ -406,7 +406,7 @@ func TestWriteChromeTraceValidAndLoadable(t *testing.T) {
 	r := New(DefaultConfig())
 	r.RecordExec("aaw", 0, 0, 2, 50, 0, sim.Millisecond, 90*sim.Millisecond)
 	r.RecordMessage("aaw", 1, 0, 2, 3, 4096, 90*sim.Millisecond, 92*sim.Millisecond, 95*sim.Millisecond)
-	r.RecordMessage("", -1, -1, 0, 1, 128, sim.Millisecond, sim.Millisecond, 2*sim.Millisecond)
+	r.RecordMessage("aaw", 2, 0, 0, 1, 128, sim.Millisecond, sim.Millisecond, 2*sim.Millisecond)
 	r.RecordAdaptation(100*sim.Millisecond, "aaw", 0, 0, "replicate", 2)
 
 	var buf bytes.Buffer
@@ -451,8 +451,8 @@ func TestWriteChromeTraceValidAndLoadable(t *testing.T) {
 	if exec != 1 {
 		t.Errorf("exec slices = %d, want 1", exec)
 	}
-	// Task message: buffer slice + wire slice; sync message: wire only
-	// (zero buffer delay is elided).
+	// First message: buffer slice + wire slice; second: wire only (zero
+	// buffer delay is elided).
 	if net != 3 {
 		t.Errorf("network slices = %d, want 3", net)
 	}
