@@ -14,11 +14,12 @@ test:
 # drives them from a worker pool, telemetry's HTTP exposition reads
 # recorder state from handler goroutines, experiment sweeps fan
 # simulations across workers, and the resilience layer (journal, retry,
-# fault injector) is exercised concurrently by the server suites — keep
-# the hot paths, their locking, and the sweep cache honest under the
-# race detector.
+# fault injector) is exercised concurrently by the server suites, and
+# rmexperiments runs -remote against an in-process daemon — keep the hot
+# paths, their locking, and the sweep cache honest under the race
+# detector.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/telemetry/... ./internal/core/... ./internal/experiment/... ./internal/api/... ./internal/session/... ./internal/server/... ./internal/client/... ./internal/policy/... ./internal/resil/...
+	$(GO) test -race ./internal/sim/... ./internal/telemetry/... ./internal/core/... ./internal/experiment/... ./internal/api/... ./internal/session/... ./internal/server/... ./internal/client/... ./internal/policy/... ./internal/resil/... ./cmd/rmexperiments/...
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/telemetry/...

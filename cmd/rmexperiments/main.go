@@ -58,50 +58,25 @@ func main() {
 	}
 	slog.SetDefault(log)
 
-	if *remote != "" {
+	sched := experiment.NewScheduler(*parallel)
+	if *checkDet && (*cacheDir != "" || *remote != "") {
+		// A determinism audit must re-execute every simulation; serving
+		// runs from the persistent cache or a daemon would compare them
+		// with themselves, so the audit bypasses both.
+		log.Info("-check-determinism bypasses -cache-dir and -remote (the audit must re-simulate)")
+	}
+	if *remote != "" && !*checkDet {
 		cl := client.New(*remote)
 		cl.Logger = log
-		// One failed poll must not abort a whole sweep. The client already
-		// retries individual requests; this outer loop handles the daemon
-		// *losing* the job entirely (restart without -data-dir → 404 on
-		// poll) or staying unreachable past the per-request budget, by
-		// resubmitting the run with backoff — submissions are idempotent by
-		// fingerprint, so the worst case is a cache hit on the daemon side.
-		resubmit := resil.Backoff{Attempts: 4, Base: 500 * time.Millisecond, Max: 10 * time.Second}
-		experiment.SetRemoteRunner(func(ctx context.Context, req api.RunRequest) (experiment.RunOutcome, error) {
-			var out experiment.RunOutcome
-			err := resil.Do(ctx, &resubmit, nil, func(attempt int) error {
-				res, err := cl.RunSync(ctx, req)
-				if err != nil {
-					var ae *client.APIError
-					lost := errors.As(err, &ae) && ae.Code == api.CodeNotFound
-					if client.Retryable(err) || lost {
-						log.Warn("remote run lost or daemon unreachable; resubmitting",
-							"attempt", attempt, "error", err.Error())
-						return resil.Transient(err)
-					}
-					return err
-				}
-				out = experiment.OutcomeFromAPI(res)
-				return nil
-			})
-			return out, err
-		})
+		sched.SetRemoteRunner(remoteRunner(cl, log))
 		log.Info("remote mode: delegating wire-expressible runs", "daemon", *remote)
 	}
-
 	if *cacheDir != "" && !*checkDet {
 		cache, err := experiment.OpenDiskCache(*cacheDir)
 		if err != nil {
 			fatal(err)
 		}
-		experiment.SetDiskCache(cache)
-	}
-	if *cacheDir != "" && *checkDet {
-		// A determinism audit must re-execute every simulation; serving
-		// runs from the persistent cache would compare the cache with
-		// itself, so the cache is bypassed for the audit.
-		log.Info("-check-determinism bypasses -cache-dir (the audit must re-simulate)")
+		sched.SetDiskCache(cache)
 	}
 
 	if *list {
@@ -131,7 +106,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ctx := experiment.Context{Parallelism: *parallel, Quick: *quick, Seeds: *seeds, Policies: polSubset}
+	ctx := experiment.Context{Scheduler: sched, Quick: *quick, Seeds: *seeds, Policies: polSubset}
 	wallStart := time.Now()
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
@@ -172,7 +147,7 @@ func main() {
 		}
 		fmt.Printf("markdown report written to %s\n", *md)
 	}
-	s := experiment.SchedulerStats()
+	s := sched.Stats()
 	fmt.Printf("scheduler: %d runs requested — %d deduped in flight, %d memory hits, %d disk hits, %d simulated",
 		s.Requested, s.Deduped, s.MemoryHits, s.DiskHits, s.Simulated)
 	if s.Remote > 0 {
@@ -184,20 +159,20 @@ func main() {
 	fmt.Printf(" — wall-clock %v\n", time.Since(wallStart).Round(time.Millisecond))
 }
 
-// checkDeterminism renders every experiment twice — once with serial
-// simulations, once with the full worker pool — resetting the sweep
-// cache before each run so both actually execute. Any byte difference
+// checkDeterminism renders every experiment twice — once on a serial
+// scheduler, once on a fresh one with the full worker pool — so both
+// passes actually execute every simulation. Any byte difference
 // in the rendered tables, charts, or CSVs is a determinism regression
 // (scheduling order leaking into results) and exits non-zero.
 func checkDeterminism(todo []experiment.Experiment, quick bool, parallel int) {
 	failed := false
 	for _, e := range todo {
 		start := time.Now()
-		serial, err := fingerprint(e, experiment.Context{Parallelism: 1, Quick: quick})
+		serial, err := fingerprint(e, experiment.Context{Scheduler: experiment.NewScheduler(1), Quick: quick})
 		if err != nil {
 			fatal(fmt.Errorf("%s (serial): %w", e.ID, err))
 		}
-		concurrent, err := fingerprint(e, experiment.Context{Parallelism: parallel, Quick: quick})
+		concurrent, err := fingerprint(e, experiment.Context{Scheduler: experiment.NewScheduler(parallel), Quick: quick})
 		if err != nil {
 			fatal(fmt.Errorf("%s (parallel): %w", e.ID, err))
 		}
@@ -215,10 +190,9 @@ func checkDeterminism(todo []experiment.Experiment, quick bool, parallel int) {
 	}
 }
 
-// fingerprint runs one experiment against a cold sweep cache and returns
-// its full rendered output plus every table's CSV.
+// fingerprint runs one experiment and returns its full rendered output
+// plus every table's CSV.
 func fingerprint(e experiment.Experiment, ctx experiment.Context) (string, error) {
-	experiment.ResetSweepCache()
 	out, err := e.Run(ctx)
 	if err != nil {
 		return "", err
@@ -233,6 +207,36 @@ func fingerprint(e experiment.Experiment, ctx experiment.Context) (string, error
 		}
 	}
 	return b.String(), nil
+}
+
+// remoteRunner delegates wire-expressible runs to the rmserved daemon
+// behind cl. One failed poll must not abort a whole sweep. The client
+// already retries individual requests; this outer loop handles the daemon
+// *losing* the job entirely (restart without -data-dir → 404 on poll) or
+// staying unreachable past the per-request budget, by resubmitting the
+// run with backoff — submissions are idempotent by fingerprint, so the
+// worst case is a cache hit on the daemon side.
+func remoteRunner(cl *client.Client, log *slog.Logger) experiment.RemoteRunner {
+	resubmit := resil.Backoff{Attempts: 4, Base: 500 * time.Millisecond, Max: 10 * time.Second}
+	return func(ctx context.Context, req api.RunRequest) (experiment.RunOutcome, error) {
+		var out experiment.RunOutcome
+		err := resil.Do(ctx, &resubmit, nil, func(attempt int) error {
+			res, err := cl.RunSync(ctx, req)
+			if err != nil {
+				var ae *client.APIError
+				lost := errors.As(err, &ae) && ae.Code == api.CodeNotFound
+				if client.Retryable(err) || lost {
+					log.Warn("remote run lost or daemon unreachable; resubmitting",
+						"attempt", attempt, "error", err.Error())
+					return resil.Transient(err)
+				}
+				return err
+			}
+			out = experiment.OutcomeFromAPI(res)
+			return nil
+		})
+		return out, err
+	}
 }
 
 func writeFiles(dir string, o experiment.Output) error {

@@ -101,16 +101,12 @@ func TestCrashRestart(t *testing.T) {
 	ctx := context.Background()
 
 	// A job slow enough to still be in flight when the SIGKILL lands.
-	values := make([]int, 400_000)
-	for i := range values {
-		values[i] = 9500
-	}
 	seed := uint64(990101)
 	req := api.RunRequest{
 		SchemaVersion: api.SchemaVersion,
 		Algorithm:     api.AlgPredictive,
 		Seed:          &seed,
-		Task:          api.TaskSpec{Pattern: api.Pattern{Kind: api.PatternCustom, Label: "crash", Values: values}},
+		Task:          api.TaskSpec{Pattern: api.Pattern{Kind: api.PatternConstant, Value: 9500, Periods: 400_000}},
 	}
 	job, err := cl.SubmitRun(ctx, req)
 	if err != nil {
@@ -178,7 +174,7 @@ func TestCrashRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := experiment.ScheduledRun(cfg, alg, setups)
+	out, err := experiment.NewScheduler(1).Run(ctx, cfg, alg, setups)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,8 @@ import (
 
 // TestSmoke builds the real rmserved binary, starts it on a free port,
 // drives it over the public API with internal/client, and proves the
-// served result is byte-for-byte what a direct experiment.ScheduledRun
-// computes for the same cell. It then exercises the SIGTERM drain: a
+// served result is byte-for-byte what a direct run on a local
+// experiment.Scheduler computes for the same cell. It then exercises the SIGTERM drain: a
 // job in flight at signal time finishes, its result is fetched during
 // the drain, and the process exits 0.
 func TestSmoke(t *testing.T) {
@@ -88,27 +88,23 @@ func TestSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := experiment.ScheduledRun(cfg, alg, setups)
+	out, err := experiment.NewScheduler(1).Run(ctx, cfg, alg, setups)
 	if err != nil {
 		t.Fatal(err)
 	}
 	direct := experiment.OutcomeToAPI(out)
 	if served != direct {
-		t.Errorf("served result differs from direct ScheduledRun:\n got %+v\nwant %+v", served, direct)
+		t.Errorf("served result differs from a direct scheduled run:\n got %+v\nwant %+v", served, direct)
 	}
 
 	// Put a slower job in flight, then send SIGTERM mid-run: the drain
 	// must finish the job, serve its result, and exit 0.
-	values := make([]int, 200_000)
-	for i := range values {
-		values[i] = 9000
-	}
 	dseed := uint64(990002)
 	job, err := cl.SubmitRun(ctx, api.RunRequest{
 		SchemaVersion: api.SchemaVersion,
 		Algorithm:     api.AlgPredictive,
 		Seed:          &dseed,
-		Task:          api.TaskSpec{Pattern: api.Pattern{Kind: api.PatternCustom, Label: "drain", Values: values}},
+		Task:          api.TaskSpec{Pattern: api.Pattern{Kind: api.PatternConstant, Value: 9000, Periods: 200_000}},
 	})
 	if err != nil {
 		t.Fatal(err)

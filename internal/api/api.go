@@ -355,6 +355,9 @@ const (
 	// resubmitting the identical request later is safe (idempotent by
 	// fingerprint).
 	CodeJournal = "journal_write_failed"
+	// CodeRequestTooLarge: the request body exceeds the daemon's limit
+	// (1 MiB); served as 413, nothing was admitted.
+	CodeRequestTooLarge = "request_too_large"
 )
 
 // RetryAfterHeader carries the server's backoff hint on 429/503

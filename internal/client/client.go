@@ -421,7 +421,7 @@ func (c *Client) Wait(ctx context.Context, id string) (api.Job, error) {
 }
 
 // RunSync submits a run and blocks for its result — the remote analogue
-// of experiment.ScheduledRun. A failed or cancelled job is returned as
+// of experiment.Scheduler.Run. A failed or cancelled job is returned as
 // an error.
 func (c *Client) RunSync(ctx context.Context, req api.RunRequest) (api.RunResult, error) {
 	j, err := c.SubmitRun(ctx, req)

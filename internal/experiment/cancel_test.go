@@ -35,31 +35,30 @@ func TestScheduledRunContextCancellation(t *testing.T) {
 	cfg.Seed = 660001
 	setups := []core.TaskSetup{setup}
 
-	before := SchedulerStats()
+	sched := NewScheduler(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
-	d := statsDelta(func() {
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				_, errs[i] = ScheduledRunContext(ctx, cfg, core.Predictive, setups)
-			}(i)
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = sched.Run(ctx, cfg, core.Predictive, setups)
+		}(i)
+	}
+	// Cancel only after both requests are registered with the
+	// scheduler, so the second provably joins the first's cell.
+	submitDeadline := time.Now().Add(30 * time.Second)
+	for sched.Stats().Requested < 2 {
+		if time.Now().After(submitDeadline) {
+			t.Error("both submissions never registered")
+			break
 		}
-		// Cancel only after both requests are registered with the
-		// scheduler, so the second provably joins the first's cell.
-		submitDeadline := time.Now().Add(30 * time.Second)
-		for SchedulerStats().Requested < before.Requested+2 {
-			if time.Now().After(submitDeadline) {
-				t.Error("both submissions never registered")
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
-		cancel()
-		wg.Wait()
-	})
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	wg.Wait()
+	d := sched.Stats()
 	for i, err := range errs {
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("waiter %d returned %v, want context.Canceled", i, err)
@@ -72,7 +71,7 @@ func TestScheduledRunContextCancellation(t *testing.T) {
 	// The worker observes the cancelled cell asynchronously; wait for the
 	// counter, then prove the memo did not keep the dead entry.
 	deadline := time.Now().Add(10 * time.Second)
-	for SchedulerStats().Cancelled < before.Cancelled+1 {
+	for sched.Stats().Cancelled < 1 {
 		if time.Now().After(deadline) {
 			t.Error("cancelled counter never moved")
 			break
@@ -80,12 +79,10 @@ func TestScheduledRunContextCancellation(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	d2 := statsDelta(func() {
-		if _, err := ScheduledRun(cfg, core.Predictive, setups); err != nil {
-			t.Fatalf("re-requesting a cancelled cell: %v", err)
-		}
-	})
-	if d2.Simulated != 1 {
+	if _, err := sched.Run(context.Background(), cfg, core.Predictive, setups); err != nil {
+		t.Fatalf("re-requesting a cancelled cell: %v", err)
+	}
+	if d2 := sched.Stats(); d2.Simulated != 1 {
 		t.Errorf("re-request simulated %d cells, want 1 (cancelled cells must not be memoized)", d2.Simulated)
 	}
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"errors"
 	"io/fs"
 	"os"
@@ -85,18 +86,20 @@ func TestSchedulerDiskCacheWarmAndCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetDiskCache(cache)
-	defer SetDiskCache(nil)
-	ResetSweepCache()
-
-	points := []int{0, 4}
-	var cold []PointResult
-	coldStats := statsDelta(func() {
-		cold, err = Sweep(points, TriangularFactory, 2)
+	// Each pass runs on a fresh scheduler sharing the one disk cache: a
+	// new process, as far as the in-memory memo is concerned.
+	sweep := func() ([]PointResult, SchedulerCounters) {
+		t.Helper()
+		s := NewScheduler(2)
+		s.SetDiskCache(cache)
+		res, err := s.Sweep(context.Background(), []int{0, 4}, TriangularFactory, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-	})
+		return res, s.Stats()
+	}
+
+	cold, coldStats := sweep()
 	if coldStats.Simulated != 4 || coldStats.DiskHits != 0 {
 		t.Fatalf("cold run: %+v, want 4 simulated / 0 disk hits", coldStats)
 	}
@@ -104,14 +107,7 @@ func TestSchedulerDiskCacheWarmAndCorrupt(t *testing.T) {
 		t.Fatalf("cache holds %d entries after cold run, want 4", cache.Len())
 	}
 
-	ResetSweepCache() // forget the in-process memo; disk must serve everything
-	var warm []PointResult
-	warmStats := statsDelta(func() {
-		warm, err = Sweep(points, TriangularFactory, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
+	warm, warmStats := sweep() // disk must serve everything
 	if warmStats.Simulated != 0 || warmStats.DiskHits != 4 {
 		t.Fatalf("warm run: %+v, want 0 simulated / 4 disk hits", warmStats)
 	}
@@ -120,14 +116,7 @@ func TestSchedulerDiskCacheWarmAndCorrupt(t *testing.T) {
 	}
 
 	corruptCacheFiles(t, cache.Dir())
-	ResetSweepCache()
-	var again []PointResult
-	corruptStats := statsDelta(func() {
-		again, err = Sweep(points, TriangularFactory, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
+	again, corruptStats := sweep()
 	if corruptStats.Simulated != 4 || corruptStats.DiskHits != 0 {
 		t.Fatalf("corrupt-cache run: %+v, want 4 simulated / 0 disk hits", corruptStats)
 	}

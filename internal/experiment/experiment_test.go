@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,7 +10,7 @@ import (
 	"repro/internal/dynbench"
 )
 
-func quickCtx() Context { return Context{Quick: true} }
+func quickCtx() Context { return Context{Quick: true, Scheduler: NewScheduler(0)} }
 
 func TestRegistryComplete(t *testing.T) {
 	all := All()
@@ -96,10 +97,11 @@ func TestDefaultModelsQuality(t *testing.T) {
 }
 
 func TestAllExperimentsRunQuick(t *testing.T) {
+	ctx := quickCtx()
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			out, err := e.Run(quickCtx())
+			out, err := e.Run(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +132,8 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 // the predictive algorithm's combined metric is never worse, and is
 // strictly better once replication is in play.
 func TestHeadlineOrderingTriangular(t *testing.T) {
-	results, err := CachedSweep("triangular", quickCtx().sweepPoints(), TriangularFactory, 0)
+	ctx := quickCtx()
+	results, err := ctx.Scheduler.Sweep(context.Background(), ctx.sweepPoints(), TriangularFactory, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,14 +168,13 @@ func TestHeadlineOrderingTriangular(t *testing.T) {
 }
 
 func TestSweepDeterministic(t *testing.T) {
-	a, err := Sweep([]int{10}, TriangularFactory, 2)
+	a, err := NewScheduler(2).Sweep(context.Background(), []int{10}, TriangularFactory, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reset so the second sweep re-simulates instead of reading the
-	// scheduler's run memo — equality must come from determinism.
-	ResetSweepCache()
-	b, err := Sweep([]int{10}, TriangularFactory, 2)
+	// A second scheduler re-simulates instead of reading the first one's
+	// run memo — equality must come from determinism.
+	b, err := NewScheduler(2).Sweep(context.Background(), []int{10}, TriangularFactory, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +186,12 @@ func TestSweepDeterministic(t *testing.T) {
 }
 
 func TestCachedSweepReturnsSameSlice(t *testing.T) {
-	x, err := CachedSweep("test-key", []int{4}, TriangularFactory, 1)
+	s := NewScheduler(1)
+	x, err := s.CachedSweep("test-key", []int{4}, TriangularFactory, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := CachedSweep("test-key", []int{4}, TriangularFactory, 1)
+	y, err := s.CachedSweep("test-key", []int{4}, TriangularFactory, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -36,7 +37,7 @@ func runExtThreshold(ctx Context) (Output, error) {
 	if ctx.Quick {
 		points = []int{28, 40, 52}
 	}
-	results, err := Sweep(points, IncreasingFactory, ctx.Parallelism)
+	results, err := ctx.scheduler().Sweep(context.Background(), points, IncreasingFactory, 1)
 	if err != nil {
 		return Output{}, err
 	}
@@ -93,7 +94,7 @@ func runExtMultitask(ctx Context) (Output, error) {
 			}
 			cfg := core.DefaultConfig()
 			cfg.Seed = uint64(1000 + n)
-			out, err := ScheduledRun(cfg, alg, setups)
+			out, err := ctx.run(cfg, alg, setups)
 			if err != nil {
 				return Output{}, err
 			}
@@ -120,7 +121,7 @@ func runExtSlack(ctx Context) (Output, error) {
 		if cfg.Monitor.HighSlackFraction <= sl {
 			cfg.Monitor.HighSlackFraction = sl + 0.3
 		}
-		out, err := ScheduledRun(cfg, core.Predictive, []core.TaskSetup{setup})
+		out, err := ctx.run(cfg, core.Predictive, []core.TaskSetup{setup})
 		if err != nil {
 			return Output{}, err
 		}
@@ -143,7 +144,7 @@ func runExtUT(ctx Context) (Output, error) {
 		}
 		cfg := core.DefaultConfig()
 		cfg.UtilThreshold = ut
-		out, err := ScheduledRun(cfg, core.NonPredictive, []core.TaskSetup{setup})
+		out, err := ctx.run(cfg, core.NonPredictive, []core.TaskSetup{setup})
 		if err != nil {
 			return Output{}, err
 		}
@@ -170,7 +171,7 @@ func runExtPatterns(ctx Context) (Output, error) {
 			if err != nil {
 				return Output{}, err
 			}
-			out, err := ScheduledRun(core.DefaultConfig(), alg, []core.TaskSetup{setup})
+			out, err := ctx.run(core.DefaultConfig(), alg, []core.TaskSetup{setup})
 			if err != nil {
 				return Output{}, err
 			}
@@ -209,7 +210,7 @@ func runExtFaults(ctx Context) (Output, error) {
 			}
 			cfg := core.DefaultConfig()
 			cfg.Faults = faults
-			out, err := ScheduledRun(cfg, alg, []core.TaskSetup{setup})
+			out, err := ctx.run(cfg, alg, []core.TaskSetup{setup})
 			if err != nil {
 				return Output{}, err
 			}
@@ -254,7 +255,7 @@ func runExtSeeds(ctx Context) (Output, error) {
 				}
 				cfg := core.DefaultConfig()
 				cfg.Seed = uint64(7777 + seed*13)
-				out, err := ScheduledRun(cfg, alg, []core.TaskSetup{setup})
+				out, err := ctx.run(cfg, alg, []core.TaskSetup{setup})
 				if err != nil {
 					return Output{}, err
 				}
@@ -301,7 +302,7 @@ func runExtAllocators(ctx Context) (Output, error) {
 			if err != nil {
 				return Output{}, err
 			}
-			out, err := ScheduledRun(core.DefaultConfig(), alg, []core.TaskSetup{setup})
+			out, err := ctx.run(core.DefaultConfig(), alg, []core.TaskSetup{setup})
 			if err != nil {
 				return Output{}, err
 			}
@@ -338,7 +339,7 @@ func runExtModels(ctx Context) (Output, error) {
 			if err != nil {
 				return Output{}, err
 			}
-			out, err := ScheduledRun(core.DefaultConfig(), core.Predictive, []core.TaskSetup{setup})
+			out, err := ctx.run(core.DefaultConfig(), core.Predictive, []core.TaskSetup{setup})
 			if err != nil {
 				return Output{}, err
 			}
@@ -376,7 +377,7 @@ func runExtOverlap(ctx Context) (Output, error) {
 			}
 			cfg := core.DefaultConfig()
 			cfg.OverlapFraction = overlap
-			out, err := ScheduledRun(cfg, alg, []core.TaskSetup{setup})
+			out, err := ctx.run(cfg, alg, []core.TaskSetup{setup})
 			if err != nil {
 				return Output{}, err
 			}
@@ -401,7 +402,7 @@ func runExtWarmup(ctx Context) (Output, error) {
 			}
 			cfg := core.DefaultConfig()
 			cfg.WarmupDemand = warm
-			out, err := ScheduledRun(cfg, alg, []core.TaskSetup{setup})
+			out, err := ctx.run(cfg, alg, []core.TaskSetup{setup})
 			if err != nil {
 				return Output{}, err
 			}
@@ -438,7 +439,7 @@ func runExtSched(ctx Context) (Output, error) {
 			}
 			cfg := core.DefaultConfig()
 			cfg.Discipline = d
-			out, err := ScheduledRun(cfg, alg, []core.TaskSetup{setup})
+			out, err := ctx.run(cfg, alg, []core.TaskSetup{setup})
 			if err != nil {
 				return Output{}, err
 			}
@@ -500,7 +501,7 @@ func runExtSmoothing(ctx Context) (Output, error) {
 		}
 		cfg := core.DefaultConfig()
 		cfg.Monitor.SmoothingWindow = w
-		out, err := ScheduledRun(cfg, core.Predictive, []core.TaskSetup{setup})
+		out, err := ctx.run(cfg, core.Predictive, []core.TaskSetup{setup})
 		if err != nil {
 			return Output{}, err
 		}

@@ -83,7 +83,8 @@ func runExtChaos(ctx Context) (Output, error) {
 	algs := []core.Algorithm{core.Predictive, core.NonPredictive}
 
 	// Submit every (intensity, algorithm, replication) run before waiting
-	// on any, so the shared scheduler's worker pool sees the whole batch.
+	// on any, so the scheduler's worker pool sees the whole batch.
+	sched := ctx.scheduler()
 	type cell struct {
 		in   chaosIntensity
 		alg  core.Algorithm

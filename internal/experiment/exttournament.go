@@ -63,12 +63,6 @@ func tournamentPolicies(ctx Context) []core.Algorithm {
 // policy over every cell it ran.
 func runExtTournament(ctx Context) (Output, error) {
 	const maxUnits = 16
-	// A tournament compares fresh runs of every policy; a sweep cache
-	// warmed by an earlier experiment in the same process must not leak
-	// point results across the policy axis (see the aliasing regression
-	// test in policy_conformance).
-	ResetSweepCache()
-
 	intensities := chaosIntensities()
 	patterns := tournamentPatterns()
 	if ctx.Quick {
@@ -78,8 +72,11 @@ func runExtTournament(ctx Context) (Output, error) {
 	algs := tournamentPolicies(ctx)
 	seeds := ctx.seeds()
 
-	// Submit the whole grid before waiting on any run, so the shared
-	// scheduler's worker pool sees the entire batch at once.
+	// Submit the whole grid before waiting on any run, so the
+	// scheduler's worker pool sees the entire batch at once. Cells of
+	// different policies never alias: the fingerprint includes the
+	// algorithm (TestTournamentCellsNeverAlias).
+	sched := ctx.scheduler()
 	type cell struct {
 		pattern string
 		in      chaosIntensity

@@ -50,22 +50,21 @@ func TestTournamentCellsNeverAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ResetSweepCache()
-	d := statsDelta(func() {
-		a := sched.submit(cfg, core.PeriodStretch, []core.TaskSetup{heavyA})
-		b := sched.submit(cfg, core.ImpreciseShed, []core.TaskSetup{heavyB})
-		outA, err := a.wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		outB, err := b.wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if outA.Metrics == outB.Metrics {
-			t.Error("period-stretch and imprecise-shed returned identical metrics — cache entry shared?")
-		}
-	})
+	sched := NewScheduler(0)
+	a := sched.submit(cfg, core.PeriodStretch, []core.TaskSetup{heavyA})
+	b := sched.submit(cfg, core.ImpreciseShed, []core.TaskSetup{heavyB})
+	outA, err := a.wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	outB, err := b.wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outA.Metrics == outB.Metrics {
+		t.Error("period-stretch and imprecise-shed returned identical metrics — cache entry shared?")
+	}
+	d := sched.Stats()
 	if d.Simulated != 2 {
 		t.Errorf("two distinct policies simulated %d runs, want 2 (deduped %d, memory hits %d)",
 			d.Simulated, d.Deduped, d.MemoryHits)
@@ -99,7 +98,7 @@ func TestTournamentDeterministicOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	render := func() string {
-		out, err := e.Run(Context{Quick: true, Parallelism: 4, Seeds: 2})
+		out, err := e.Run(Context{Quick: true, Scheduler: NewScheduler(4), Seeds: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +122,7 @@ func TestTournamentHonorsPolicySubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Run(Context{Quick: true, Parallelism: 4,
+	out, err := e.Run(Context{Quick: true, Scheduler: NewScheduler(4),
 		Policies: []string{string(core.Predictive), string(core.PeriodStretch)}})
 	if err != nil {
 		t.Fatal(err)

@@ -222,7 +222,7 @@ func ciNote(seeds int) string {
 // is byte-identical to the historical single-run tables.
 func figMetricsSweep(id, key string, factory PatternFactory) func(Context) (Output, error) {
 	return func(ctx Context) (Output, error) {
-		results, err := CachedSweepSeeds(key, ctx.sweepPoints(), factory, ctx.Parallelism, ctx.seeds())
+		results, err := ctx.scheduler().CachedSweep(key, ctx.sweepPoints(), factory, ctx.seeds())
 		if err != nil {
 			return Output{}, err
 		}
@@ -346,7 +346,7 @@ func combinedTable(title string, results []PointResult, seeds int) (*Table, []in
 // figCombinedSweep reproduces Figure 10.
 func figCombinedSweep(id, key string, factory PatternFactory) func(Context) (Output, error) {
 	return func(ctx Context) (Output, error) {
-		results, err := CachedSweepSeeds(key, ctx.sweepPoints(), factory, ctx.Parallelism, ctx.seeds())
+		results, err := ctx.scheduler().CachedSweep(key, ctx.sweepPoints(), factory, ctx.seeds())
 		if err != nil {
 			return Output{}, err
 		}
@@ -381,7 +381,7 @@ func runFig13(ctx Context) (Output, error) {
 		{"fig13(a) — increasing ramp", "increasing", IncreasingFactory},
 		{"fig13(b) — decreasing ramp", "decreasing", DecreasingFactory},
 	} {
-		results, err := CachedSweepSeeds(part.key, ctx.sweepPoints(), part.factory, ctx.Parallelism, ctx.seeds())
+		results, err := ctx.scheduler().CachedSweep(part.key, ctx.sweepPoints(), part.factory, ctx.seeds())
 		if err != nil {
 			return Output{}, err
 		}

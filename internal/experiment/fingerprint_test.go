@@ -174,7 +174,7 @@ func TestFingerprintExcludesTelemetry(t *testing.T) {
 	setups := []core.TaskSetup{setup}
 	base := core.DefaultConfig()
 	with := base
-	with.Telemetry = nil // ScheduledRun forbids non-nil; simulate the field changing identity
+	with.Telemetry = nil // Scheduler.Run forbids non-nil; simulate the field changing identity
 	if runFingerprint(base, core.Predictive, setups) != runFingerprint(with, core.Predictive, setups) {
 		t.Error("telemetry field altered the fingerprint")
 	}

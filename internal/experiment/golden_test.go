@@ -20,6 +20,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -109,16 +110,14 @@ func TestGoldenSweepAcrossParallelism(t *testing.T) {
 		{"increasing", IncreasingFactory},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Drop memoized runs so every Sweep below actually simulates
-			// under its own scheduling instead of reading the run memo.
-			ResetSweepCache()
-			serial, err := Sweep(goldenPoints(), tc.factory, 1)
+			// A fresh scheduler per width, so every Sweep below actually
+			// simulates under its own scheduling instead of reading a memo.
+			serial, err := NewScheduler(1).Sweep(context.Background(), goldenPoints(), tc.factory, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, parallelism := range []int{2, 7} {
-				ResetSweepCache()
-				parallel, err := Sweep(goldenPoints(), tc.factory, parallelism)
+				parallel, err := NewScheduler(parallelism).Sweep(context.Background(), goldenPoints(), tc.factory, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -143,7 +142,7 @@ func TestGoldenSweepSnapshot(t *testing.T) {
 		{"decreasing", DecreasingFactory},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			results, err := Sweep(goldenPoints(), tc.factory, 1)
+			results, err := NewScheduler(1).Sweep(context.Background(), goldenPoints(), tc.factory, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,8 +156,7 @@ func TestGoldenSweepSnapshot(t *testing.T) {
 // cell keeps the exact historical seed, so a replicated sweep's rep-0
 // metrics are byte-for-byte the committed single-run golden.
 func TestGoldenSeedZeroUnchangedUnderReplication(t *testing.T) {
-	ResetSweepCache()
-	results, err := SweepSeeds(goldenPoints(), TriangularFactory, 2, 3)
+	results, err := NewScheduler(2).Sweep(context.Background(), goldenPoints(), TriangularFactory, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +181,7 @@ func TestGoldenSeedZeroUnchangedUnderReplication(t *testing.T) {
 // rmexperiments CLI writes with -out — for the sweep-driven figures.
 // fig9/fig10 share one cached sweep, fig13 consumes the two ramp sweeps.
 func TestGoldenFigureCSV(t *testing.T) {
-	ctx := Context{Quick: true, Parallelism: 4}
+	ctx := Context{Quick: true, Scheduler: NewScheduler(4)}
 	for _, id := range []string{"fig9", "fig10", "fig13"} {
 		t.Run(id, func(t *testing.T) {
 			e, err := ByID(id)
@@ -219,7 +217,7 @@ func TestGoldenExtChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Run(Context{Quick: true, Parallelism: 4, Seeds: 2})
+	out, err := e.Run(Context{Quick: true, Scheduler: NewScheduler(4), Seeds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +240,7 @@ func TestGoldenExtTournament(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Run(Context{Quick: true, Parallelism: 4, Seeds: 2})
+	out, err := e.Run(Context{Quick: true, Scheduler: NewScheduler(4), Seeds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

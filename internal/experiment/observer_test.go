@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -68,8 +69,8 @@ func (r *recordObserver) snapshot() (queued, started, diskHits int, finished map
 	return r.queued, r.started, r.diskHits, finished
 }
 
-// observerRunSetup builds one wire-expressible benchmark run with a seed
-// namespaced away from every other test file's cells.
+// observerRunSetup builds one wire-expressible benchmark run; seed picks
+// its cell.
 func observerRunSetup(t *testing.T, seed uint64) (core.Config, []core.TaskSetup) {
 	t.Helper()
 	setup, err := BenchmarkSetup(TriangularFactory(4 * WorkloadUnit))
@@ -86,13 +87,12 @@ func observerRunSetup(t *testing.T, seed uint64) (core.Config, []core.TaskSetup)
 // finished("simulated"), and a memory hit on the same cell emits
 // nothing (the run never re-enters the queue).
 func TestWallObserverCellLifecycle(t *testing.T) {
-	ResetSweepCache()
 	rec := newRecordObserver()
-	SetWallObserver(rec)
-	defer SetWallObserver(nil)
+	sched := NewScheduler(1)
+	sched.SetWallObserver(rec)
 
 	cfg, setups := observerRunSetup(t, 1)
-	if _, err := ScheduledRun(cfg, core.Predictive, setups); err != nil {
+	if _, err := sched.Run(context.Background(), cfg, core.Predictive, setups); err != nil {
 		t.Fatal(err)
 	}
 	queued, started, diskHits, finished := rec.snapshot()
@@ -105,7 +105,7 @@ func TestWallObserverCellLifecycle(t *testing.T) {
 	}
 
 	// Memory hit: the memoized result is returned without re-queueing.
-	if _, err := ScheduledRun(cfg, core.Predictive, setups); err != nil {
+	if _, err := sched.Run(context.Background(), cfg, core.Predictive, setups); err != nil {
 		t.Fatal(err)
 	}
 	queued, started, _, finished = rec.snapshot()
@@ -126,25 +126,23 @@ func TestWallObserverDiskHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetDiskCache(cache)
-	defer SetDiskCache(nil)
-	ResetSweepCache()
-
 	rec := newRecordObserver()
-	SetWallObserver(rec)
-	defer SetWallObserver(nil)
-
-	cfg, setups := observerRunSetup(t, 2)
-	cold, err := ScheduledRun(cfg, core.Predictive, setups)
-	if err != nil {
-		t.Fatal(err)
+	// A second scheduler on the same cache has no in-process memo, so
+	// the disk must serve its rerun.
+	run := func() RunOutcome {
+		t.Helper()
+		sched := NewScheduler(1)
+		sched.SetDiskCache(cache)
+		sched.SetWallObserver(rec)
+		cfg, setups := observerRunSetup(t, 2)
+		out, err := sched.Run(context.Background(), cfg, core.Predictive, setups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-
-	ResetSweepCache() // forget the in-process memo; disk must serve the rerun
-	warm, err := ScheduledRun(cfg, core.Predictive, setups)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := run()
+	warm := run()
 	if warm != cold {
 		t.Fatal("disk-served outcome differs from the simulated one")
 	}

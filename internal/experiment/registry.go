@@ -1,13 +1,21 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"sort"
+
+	"repro/internal/core"
 )
 
 // Context carries run options for all experiments.
 type Context struct {
-	// Parallelism caps concurrent simulations; ≤0 means NumCPU.
+	// Scheduler runs every simulation the experiment schedules. Nil means
+	// the package's default scheduler, with its width set from
+	// Parallelism.
+	Scheduler *Scheduler
+	// Parallelism is the default scheduler's width when Scheduler is nil
+	// (≤0 means NumCPU); a Context with its own Scheduler ignores it.
 	Parallelism int
 	// Quick trims sweeps for fast runs (tests, CI smoke).
 	Quick bool
@@ -21,6 +29,20 @@ type Context struct {
 	// every registered policy. Experiments that pin their own algorithm
 	// set (the paper's tables and figures) ignore it.
 	Policies []string
+}
+
+// scheduler resolves the Scheduler the experiment submits to.
+func (c Context) scheduler() *Scheduler {
+	if c.Scheduler != nil {
+		return c.Scheduler
+	}
+	defaultScheduler.setWidth(c.Parallelism)
+	return defaultScheduler
+}
+
+// run executes one simulation on the Context's scheduler.
+func (c Context) run(cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) (RunOutcome, error) {
+	return c.scheduler().Run(context.Background(), cfg, alg, setups)
 }
 
 // seeds normalizes the replication count.

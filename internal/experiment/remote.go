@@ -17,7 +17,7 @@ import (
 // simulation than the local scheduler would have.
 
 // MaterializeRun turns a validated run request into the exact inputs
-// ScheduledRun takes. This is the server's single entry point from the
+// Scheduler.Run takes. This is the server's single entry point from the
 // wire into the engine, and the reference semantics EncodeRunRequest
 // verifies against.
 func MaterializeRun(req api.RunRequest) (core.Config, core.Algorithm, []core.TaskSetup, error) {

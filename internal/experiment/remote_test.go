@@ -70,23 +70,22 @@ func TestRemoteRunnerDelegation(t *testing.T) {
 	}
 	sentinel := RunOutcome{EventsFired: 424242}
 	var gotReq api.RunRequest
-	SetRemoteRunner(func(ctx context.Context, req api.RunRequest) (RunOutcome, error) {
+	sched := NewScheduler(1)
+	sched.SetRemoteRunner(func(ctx context.Context, req api.RunRequest) (RunOutcome, error) {
 		gotReq = req
 		return sentinel, nil
 	})
-	defer SetRemoteRunner(nil)
 
 	cfg := core.DefaultConfig()
-	cfg.Seed = 880002 // unique cell: must not collide with other tests' memoized runs
-	d := statsDelta(func() {
-		out, err := ScheduledRun(cfg, core.Predictive, []core.TaskSetup{setup})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out != sentinel {
-			t.Errorf("delegated run returned %+v, want the remote sentinel", out)
-		}
-	})
+	cfg.Seed = 880002
+	out, err := sched.Run(context.Background(), cfg, core.Predictive, []core.TaskSetup{setup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != sentinel {
+		t.Errorf("delegated run returned %+v, want the remote sentinel", out)
+	}
+	d := sched.Stats()
 	if d.Remote != 1 {
 		t.Errorf("remote counter moved by %d, want 1", d.Remote)
 	}
@@ -101,12 +100,10 @@ func TestRemoteRunnerDelegation(t *testing.T) {
 	homed := setup
 	homed.Homes = []int{0, 1, 2, 3, 4}
 	cfg.Seed = 880003
-	d = statsDelta(func() {
-		if _, err := ScheduledRun(cfg, core.Predictive, []core.TaskSetup{homed}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if d.Simulated != 1 {
+	if _, err := sched.Run(context.Background(), cfg, core.Predictive, []core.TaskSetup{homed}); err != nil {
+		t.Fatal(err)
+	}
+	if d = sched.Stats(); d.Simulated != 1 {
 		t.Errorf("inexpressible run simulated %d cells locally, want 1", d.Simulated)
 	}
 }

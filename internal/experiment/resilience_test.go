@@ -6,6 +6,7 @@ package experiment
 // service-layer fault harness: the sim hook and the FS injector).
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -37,15 +38,15 @@ func faultCfg(seed uint64) core.Config {
 // cell — as a structured PanicError with the stack attached — and the
 // worker pool keeps serving subsequent cells.
 func TestWorkerPanicIsolated(t *testing.T) {
-	defer SetSimHook(nil)
-	SetSimHook(func(cfg core.Config, alg core.Algorithm) error {
+	sched := NewScheduler(1)
+	sched.OnSimulate(func(cfg core.Config, alg core.Algorithm) error {
 		if cfg.Seed == 0xdead01 {
 			panic("injected worker panic")
 		}
 		return nil
 	})
 
-	_, err := ScheduledRun(faultCfg(0xdead01), core.Predictive, faultSetup(t))
+	_, err := sched.Run(context.Background(), faultCfg(0xdead01), core.Predictive, faultSetup(t))
 	p, ok := resil.IsPanic(err)
 	if !ok {
 		t.Fatalf("panicking cell returned %v, want a PanicError", err)
@@ -58,7 +59,7 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	}
 
 	// The pool is still alive: an untainted cell runs to completion.
-	out, err := ScheduledRun(faultCfg(0xa11ce), core.Predictive, faultSetup(t))
+	out, err := sched.Run(context.Background(), faultCfg(0xa11ce), core.Predictive, faultSetup(t))
 	if err != nil {
 		t.Fatalf("cell after the panic failed: %v", err)
 	}
@@ -71,10 +72,10 @@ func TestWorkerPanicIsolated(t *testing.T) {
 // re-executed — a retry of the identical cell gets the memoized error
 // without the hook firing again.
 func TestDeterministicErrorsAreMemoized(t *testing.T) {
-	defer SetSimHook(nil)
+	sched := NewScheduler(1)
 	calls := 0
 	detErr := errors.New("deterministic model failure")
-	SetSimHook(func(cfg core.Config, alg core.Algorithm) error {
+	sched.OnSimulate(func(cfg core.Config, alg core.Algorithm) error {
 		if cfg.Seed == 0xdead02 {
 			calls++
 			return detErr
@@ -83,10 +84,10 @@ func TestDeterministicErrorsAreMemoized(t *testing.T) {
 	})
 
 	cfg, setups := faultCfg(0xdead02), faultSetup(t)
-	if _, err := ScheduledRun(cfg, core.Predictive, setups); !errors.Is(err, detErr) {
+	if _, err := sched.Run(context.Background(), cfg, core.Predictive, setups); !errors.Is(err, detErr) {
 		t.Fatalf("first attempt: %v", err)
 	}
-	if _, err := ScheduledRun(cfg, core.Predictive, setups); !errors.Is(err, detErr) {
+	if _, err := sched.Run(context.Background(), cfg, core.Predictive, setups); !errors.Is(err, detErr) {
 		t.Fatalf("second attempt: %v", err)
 	}
 	if calls != 1 {
@@ -97,9 +98,9 @@ func TestDeterministicErrorsAreMemoized(t *testing.T) {
 // TestTransientErrorsAreEvicted: a transiently failed cell leaves the
 // memo, so the next identical request re-executes and can succeed.
 func TestTransientErrorsAreEvicted(t *testing.T) {
-	defer SetSimHook(nil)
+	sched := NewScheduler(1)
 	calls := 0
-	SetSimHook(func(cfg core.Config, alg core.Algorithm) error {
+	sched.OnSimulate(func(cfg core.Config, alg core.Algorithm) error {
 		if cfg.Seed == 0xdead03 {
 			calls++
 			if calls == 1 {
@@ -110,11 +111,11 @@ func TestTransientErrorsAreEvicted(t *testing.T) {
 	})
 
 	cfg, setups := faultCfg(0xdead03), faultSetup(t)
-	_, err := ScheduledRun(cfg, core.Predictive, setups)
+	_, err := sched.Run(context.Background(), cfg, core.Predictive, setups)
 	if !resil.IsTransient(err) {
 		t.Fatalf("first attempt: %v, want transient", err)
 	}
-	out, err := ScheduledRun(cfg, core.Predictive, setups)
+	out, err := sched.Run(context.Background(), cfg, core.Predictive, setups)
 	if err != nil {
 		t.Fatalf("retry after transient failure: %v", err)
 	}
@@ -135,32 +136,24 @@ func TestCacheWriteFailureInvisibleToRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetDiskCache(cache)
-	defer SetDiskCache(nil)
-
+	// Two schedulers on the one cache: the second has no in-process
+	// memo, so only the disk could spare it the simulation.
 	cfg, setups := faultCfg(0xdead04), faultSetup(t)
-	before := SchedulerStats()
-	out, err := ScheduledRun(cfg, core.Predictive, setups)
-	if err != nil {
-		t.Fatalf("run with failing cache writes: %v", err)
+	var outs [2]RunOutcome
+	for i := range outs {
+		sched := NewScheduler(1)
+		sched.SetDiskCache(cache)
+		if outs[i], err = sched.Run(context.Background(), cfg, core.Predictive, setups); err != nil {
+			t.Fatalf("run %d with failing cache writes: %v", i, err)
+		}
+		if cache.Len() != 0 {
+			t.Errorf("cache holds %d entries though every write failed", cache.Len())
+		}
+		if st := sched.Stats(); st.Simulated != 1 || st.DiskHits != 0 {
+			t.Errorf("run %d: %+v, want 1 simulated / 0 disk hits (cache never hit)", i, st)
+		}
 	}
-	if cache.Len() != 0 {
-		t.Errorf("cache holds %d entries though every write failed", cache.Len())
-	}
-
-	ResetSweepCache() // drop the in-process memo; disk would be next
-	again, err := ScheduledRun(cfg, core.Predictive, setups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != out {
-		t.Errorf("re-simulated result differs: %+v vs %+v", again, out)
-	}
-	delta := SchedulerStats()
-	if sim := delta.Simulated - before.Simulated; sim != 2 {
-		t.Errorf("simulated %d cells, want 2 (cache never hit)", sim)
-	}
-	if hits := delta.DiskHits - before.DiskHits; hits != 0 {
-		t.Errorf("disk hits moved by %d with a write-dead cache", hits)
+	if outs[1] != outs[0] {
+		t.Errorf("re-simulated result differs: %+v vs %+v", outs[1], outs[0])
 	}
 }

@@ -15,14 +15,14 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the cross-experiment run scheduler. Every simulation any
+// This file is the cross-experiment run scheduler. Every simulation an
 // experiment requests — one (config, algorithm, task setup, seed) cell —
-// is flattened into a single global work queue drained by one shared
-// worker pool, instead of each sweep spinning up its own. Identical runs
-// are deduplicated at run granularity with single-flight semantics: the
-// first requester enqueues the cell, later requesters join it, and the
-// finished outcome is memoized for the life of the process (and, when a
-// DiskCache is installed, across processes).
+// is flattened into its Scheduler's work queue, drained by that
+// scheduler's worker pool, instead of each sweep spinning up its own.
+// Identical runs are deduplicated at run granularity with single-flight
+// semantics: the first requester enqueues the cell, later requesters join
+// it, and the finished outcome is memoized for the life of the Scheduler
+// (and, when a DiskCache is installed, across processes).
 //
 // Every cell is also a cancellable job: requesters wait with a context,
 // the cell executes under a private context that is cancelled only when
@@ -43,9 +43,9 @@ type RunOutcome struct {
 	EventsFired uint64 `json:"events_fired"`
 }
 
-// runEntry is one scheduled simulation: a single-flight cell of the
-// global run table. Whoever creates the entry enqueues it exactly once;
-// every later requester receives the same entry and blocks on done.
+// runEntry is one scheduled simulation: a single-flight cell of a
+// Scheduler's run table. Whoever creates the entry enqueues it exactly
+// once; every later requester receives the same entry and blocks on done.
 type runEntry struct {
 	key    string
 	cfg    core.Config
@@ -53,7 +53,7 @@ type runEntry struct {
 	setups []core.TaskSetup
 
 	// runCtx governs the cell's execution; cancelRun fires when the last
-	// waiter abandons the cell (see scheduler.abandon).
+	// waiter abandons the cell (see Scheduler.abandon).
 	runCtx    context.Context
 	cancelRun context.CancelFunc
 
@@ -78,7 +78,7 @@ func (e *runEntry) wait() (RunOutcome, error) {
 // waitCtx blocks until the run completes or ctx is done; abandoning a
 // cell releases this requester's stake in it (the cell is cancelled once
 // nobody is left waiting).
-func (e *runEntry) waitCtx(ctx context.Context, s *scheduler) (RunOutcome, error) {
+func (e *runEntry) waitCtx(ctx context.Context, s *Scheduler) (RunOutcome, error) {
 	if ctx.Done() == nil {
 		return e.wait()
 	}
@@ -91,7 +91,7 @@ func (e *runEntry) waitCtx(ctx context.Context, s *scheduler) (RunOutcome, error
 	}
 }
 
-// SchedulerCounters is a snapshot of the global scheduler's cumulative
+// SchedulerCounters is a snapshot of a Scheduler's cumulative
 // accounting. Requested = Deduped + MemoryHits + DiskHits + Simulated +
 // Cancelled + Remote once every submitted run has resolved.
 type SchedulerCounters struct {
@@ -105,7 +105,7 @@ type SchedulerCounters struct {
 }
 
 // RemoteRunner executes one wire-expressible run against a remote
-// rmserved daemon (see SetRemoteRunner).
+// rmserved daemon (see Scheduler.SetRemoteRunner).
 type RemoteRunner func(ctx context.Context, req api.RunRequest) (RunOutcome, error)
 
 // WallObserver receives wall-clock timings of scheduler activity — the
@@ -128,95 +128,109 @@ type WallObserver interface {
 	DiskHit(d time.Duration)
 }
 
-type scheduler struct {
-	mu       sync.Mutex
-	queue    []*runEntry
-	entries  map[string]*runEntry
-	width    int // target worker-pool size; 0 = unset (NumCPU at first use)
-	workers  int // live worker goroutines
+// plugins are a Scheduler's installable collaborators. A worker copies
+// them under the mutex once per cell, so a setter never races a run.
+type plugins struct {
 	disk     *DiskCache
 	remote   RemoteRunner
 	observer WallObserver
-	stats    SchedulerCounters
+	hook     func(cfg core.Config, alg core.Algorithm) error
 }
 
-// sched is the process-wide scheduler every experiment shares.
-var sched = &scheduler{entries: make(map[string]*runEntry)}
+// Scheduler owns one work queue, worker pool, run memo and sweep memo.
+// Its owner — rmexperiments, an rmserved Server, a test — builds it with
+// NewScheduler. Results never depend on which Scheduler, or which width,
+// ran them: every run is independently seeded (the golden tests pin it).
+type Scheduler struct {
+	mu      sync.Mutex
+	queue   []*runEntry
+	entries map[string]*runEntry
+	width   int // target worker-pool size
+	workers int // live worker goroutines
+	plugins plugins
+	stats   SchedulerCounters
+	sweeps  map[string]*sweepEntry // CachedSweep's memo
+}
 
-// SetParallelism sets the shared worker pool's target width; n ≤ 0 means
-// NumCPU. The pool is global — concurrent callers share it and the most
-// recent setting wins — which is safe because results never depend on the
-// width (every run is independently seeded; the golden tests pin that),
-// only throughput does.
-func SetParallelism(n int) {
+// NewScheduler returns an empty scheduler whose pool runs at most width
+// simulations at once; width ≤ 0 means NumCPU. Width 1 is truly serial.
+func NewScheduler(width int) *Scheduler {
+	s := &Scheduler{entries: make(map[string]*runEntry), sweeps: make(map[string]*sweepEntry)}
+	s.setWidth(width)
+	return s
+}
+
+func (s *Scheduler) setWidth(n int) {
 	if n < 1 {
 		n = runtime.NumCPU()
 	}
-	sched.mu.Lock()
-	sched.width = n
-	sched.mu.Unlock()
+	s.mu.Lock()
+	s.width = n
+	s.mu.Unlock()
 }
 
 // SetDiskCache installs (or, with nil, removes) the persistent cache the
 // scheduler consults before simulating and writes through after.
-func SetDiskCache(c *DiskCache) {
-	sched.mu.Lock()
-	sched.disk = c
-	sched.mu.Unlock()
+func (s *Scheduler) SetDiskCache(c *DiskCache) {
+	s.mu.Lock()
+	s.plugins.disk = c
+	s.mu.Unlock()
 }
 
 // SetWallObserver installs (or, with nil, removes) the wall-clock
-// observer the scheduler reports queue/run timings to. Like the disk
-// cache and remote runner, it is process-global: the scheduler is one
-// shared pool, so its observability is too.
-func SetWallObserver(o WallObserver) {
-	sched.mu.Lock()
-	sched.observer = o
-	sched.mu.Unlock()
+// observer the scheduler reports queue/run timings to.
+func (s *Scheduler) SetWallObserver(o WallObserver) {
+	s.mu.Lock()
+	s.plugins.observer = o
+	s.mu.Unlock()
 }
 
 // SetRemoteRunner installs (or, with nil, removes) a remote executor:
 // runs whose (config, algorithm, setups) are expressible in the api wire
 // schema are delegated to it instead of simulated locally — the
 // rmexperiments -remote mode. Inexpressible runs still simulate locally.
-func SetRemoteRunner(fn RemoteRunner) {
-	sched.mu.Lock()
-	sched.remote = fn
-	sched.mu.Unlock()
+func (s *Scheduler) SetRemoteRunner(fn RemoteRunner) {
+	s.mu.Lock()
+	s.plugins.remote = fn
+	s.mu.Unlock()
 }
 
-// SchedulerStats snapshots the cumulative scheduler counters — the
-// rmexperiments end-of-run summary and the daemon's /v1/stats read them,
-// and tests assert dedup behaviour through before/after deltas.
-func SchedulerStats() SchedulerCounters {
-	sched.mu.Lock()
-	defer sched.mu.Unlock()
-	return sched.stats
+// OnSimulate installs (or, with nil, removes) a hook that fires before
+// each local simulation: the fault harness's seam into the run path. A
+// non-nil error aborts the cell with that error; a panic reaches the
+// worker's recovery boundary like any engine panic; a blocking hook holds
+// the worker as long as a test needs. Production binaries never set it.
+func (s *Scheduler) OnSimulate(fn func(cfg core.Config, alg core.Algorithm) error) {
+	s.mu.Lock()
+	s.plugins.hook = fn
+	s.mu.Unlock()
 }
 
-// ScheduledRun routes one simulation through the shared scheduler,
-// blocking until its result is available. Identical runs — same config,
+// Stats snapshots the cumulative counters — the rmexperiments
+// end-of-run summary and the daemon's /v1/stats read them.
+func (s *Scheduler) Stats() SchedulerCounters {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
+}
+
+// Run routes one simulation through the scheduler, blocking until its
+// result is available or ctx is done. Identical runs — same config,
 // algorithm and setups by content — execute once and share the outcome.
-// cfg.Telemetry must be nil: an attached recorder is a per-run side
-// effect that neither dedup nor the cache can replay.
-func ScheduledRun(cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) (RunOutcome, error) {
-	return ScheduledRunContext(context.Background(), cfg, alg, setups)
-}
-
-// ScheduledRunContext is ScheduledRun with cancellation: when ctx is done
-// the caller unblocks with ctx.Err(), and the underlying cell — shared
-// with any identical concurrent request — is cancelled once every
-// requester has abandoned it.
-func ScheduledRunContext(ctx context.Context, cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) (RunOutcome, error) {
+// When ctx is done the caller unblocks with ctx.Err(), and the cell is
+// cancelled once every requester has abandoned it. cfg.Telemetry must be
+// nil: an attached recorder is a per-run side effect that neither dedup
+// nor the cache can replay.
+func (s *Scheduler) Run(ctx context.Context, cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) (RunOutcome, error) {
 	if cfg.Telemetry != nil {
 		return RunOutcome{}, fmt.Errorf("experiment: scheduled runs cannot carry a telemetry recorder")
 	}
-	return sched.submit(cfg, alg, setups).waitCtx(ctx, sched)
+	return s.submit(cfg, alg, setups).waitCtx(ctx, s)
 }
 
 // submit registers one run and returns its entry without waiting, so
 // callers can flatten a whole batch into the queue before blocking.
-func (s *scheduler) submit(cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) *runEntry {
+func (s *Scheduler) submit(cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) *runEntry {
 	key := runFingerprint(cfg, alg, setups)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -232,15 +246,12 @@ func (s *scheduler) submit(cfg core.Config, alg core.Algorithm, setups []core.Ta
 	}
 	e := &runEntry{key: key, cfg: cfg, alg: alg, setups: setups, done: make(chan struct{}), waiters: 1}
 	e.runCtx, e.cancelRun = context.WithCancel(context.Background())
-	if s.observer != nil {
+	if s.plugins.observer != nil {
 		e.enqueuedAt = time.Now()
-		s.observer.CellQueued()
+		s.plugins.observer.CellQueued()
 	}
 	s.entries[key] = e
 	s.queue = append(s.queue, e)
-	if s.width == 0 {
-		s.width = runtime.NumCPU()
-	}
 	if s.workers < s.width {
 		s.workers++
 		go s.worker()
@@ -252,7 +263,7 @@ func (s *scheduler) submit(cfg core.Config, alg core.Algorithm, setups []core.Ta
 // requester to leave cancels the cell's execution and evicts it from the
 // memo, so a future identical request re-runs instead of joining a
 // corpse.
-func (s *scheduler) abandon(e *runEntry) {
+func (s *Scheduler) abandon(e *runEntry) {
 	s.mu.Lock()
 	e.waiters--
 	var cancel context.CancelFunc
@@ -268,11 +279,11 @@ func (s *scheduler) abandon(e *runEntry) {
 	}
 }
 
-// worker drains the global queue FIFO. The pool is elastic: submit spawns
+// worker drains the queue FIFO. The pool is elastic: submit spawns
 // workers on demand up to the target width, and a worker exits when the
 // queue is empty or the target has shrunk below the live count, so idle
 // workers cost nothing and serial mode (width 1) is truly serial.
-func (s *scheduler) worker() {
+func (s *Scheduler) worker() {
 	for {
 		s.mu.Lock()
 		if len(s.queue) == 0 || s.workers > s.width {
@@ -282,11 +293,9 @@ func (s *scheduler) worker() {
 		}
 		e := s.queue[0]
 		s.queue = s.queue[1:]
-		disk := s.disk
-		remote := s.remote
-		observer := s.observer
+		p := s.plugins
 		s.mu.Unlock()
-		s.execute(e, disk, remote, observer)
+		s.execute(e, p)
 	}
 }
 
@@ -306,54 +315,54 @@ const (
 )
 
 // execute resolves one entry: cancellation first, persistent cache
-// second, remote delegation third, local simulation last. observer, when
-// non-nil, receives the cell's wall-clock wait and run timings.
-func (s *scheduler) execute(e *runEntry, disk *DiskCache, remote RemoteRunner, observer WallObserver) {
+// second, remote delegation third, local simulation last. p.observer,
+// when non-nil, receives the cell's wall-clock wait and run timings.
+func (s *Scheduler) execute(e *runEntry, p plugins) {
 	var started time.Time
-	if observer != nil {
+	if p.observer != nil {
 		started = time.Now()
 		if !e.enqueuedAt.IsZero() {
-			observer.CellStarted(started.Sub(e.enqueuedAt))
+			p.observer.CellStarted(started.Sub(e.enqueuedAt))
 		}
 	}
 	if err := e.runCtx.Err(); err != nil {
-		s.finish(e, RunOutcome{}, err, cellCancelled, observer, started)
+		s.finish(e, RunOutcome{}, err, cellCancelled, p.observer, started)
 		return
 	}
-	if disk != nil {
-		out, ok := disk.Get(e.key)
+	if p.disk != nil {
+		out, ok := p.disk.Get(e.key)
 		if ok {
-			if observer != nil {
-				observer.DiskHit(time.Since(started))
+			if p.observer != nil {
+				p.observer.DiskHit(time.Since(started))
 			}
-			s.finish(e, out, nil, cellDiskHit, observer, started)
+			s.finish(e, out, nil, cellDiskHit, p.observer, started)
 			return
 		}
 	}
-	if remote != nil {
+	if p.remote != nil {
 		if req, ok := EncodeRunRequest(e.cfg, e.alg, e.setups); ok {
-			out, err := remote(e.runCtx, req)
+			out, err := p.remote(e.runCtx, req)
 			if isCancel(err) {
-				s.finish(e, RunOutcome{}, err, cellCancelled, observer, started)
+				s.finish(e, RunOutcome{}, err, cellCancelled, p.observer, started)
 				return
 			}
-			if err == nil && disk != nil {
-				_ = disk.Put(e.key, out)
+			if err == nil && p.disk != nil {
+				_ = p.disk.Put(e.key, out)
 			}
-			s.finish(e, out, err, cellRemote, observer, started)
+			s.finish(e, out, err, cellRemote, p.observer, started)
 			return
 		}
 	}
-	out, err := simulateRecovering(e.runCtx, e.cfg, e.alg, e.setups)
+	out, err := simulateRecovering(e.runCtx, e.cfg, e.alg, e.setups, p.hook)
 	if isCancel(err) {
-		s.finish(e, RunOutcome{}, err, cellCancelled, observer, started)
+		s.finish(e, RunOutcome{}, err, cellCancelled, p.observer, started)
 		return
 	}
-	if err == nil && disk != nil {
+	if err == nil && p.disk != nil {
 		// Best effort: a failed write only costs a future re-simulation.
-		_ = disk.Put(e.key, out)
+		_ = p.disk.Put(e.key, out)
 	}
-	s.finish(e, out, err, cellSimulated, observer, started)
+	s.finish(e, out, err, cellSimulated, p.observer, started)
 }
 
 // simulateRecovering is the worker pool's panic boundary: a panicking
@@ -361,21 +370,21 @@ func (s *scheduler) execute(e *runEntry, disk *DiskCache, remote RemoteRunner, o
 // of killing the process, and the worker goroutine — having recovered —
 // simply continues its drain loop, which is what "replacing" the worker
 // amounts to in an elastic pool.
-func simulateRecovering(ctx context.Context, cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) (out RunOutcome, err error) {
+func simulateRecovering(ctx context.Context, cfg core.Config, alg core.Algorithm, setups []core.TaskSetup, hook func(core.Config, core.Algorithm) error) (out RunOutcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out, err = RunOutcome{}, resil.NewPanicError(r)
 		}
 	}()
-	return simulate(ctx, cfg, alg, setups)
+	return simulate(ctx, cfg, alg, setups, hook)
 }
 
-func (s *scheduler) finish(e *runEntry, out RunOutcome, err error, kind string, observer WallObserver, started time.Time) {
+func (s *Scheduler) finish(e *runEntry, out RunOutcome, err error, kind string, observer WallObserver, started time.Time) {
 	s.mu.Lock()
 	e.out, e.err = out, err
 	e.finished = true
-	// A finished entry is memoized for the life of the process; keep only
-	// its outcome, not the inputs and context that produced it.
+	// A finished entry is memoized for the life of the scheduler; keep
+	// only its outcome, not the inputs and context that produced it.
 	e.cfg, e.setups = core.Config{}, nil
 	e.runCtx, e.cancelRun = nil, nil
 	if (isCancel(err) || resil.IsTransient(err)) && s.entries[e.key] == e {
@@ -408,31 +417,8 @@ func (s *scheduler) finish(e *runEntry, out RunOutcome, err error, kind string, 
 	close(e.done)
 }
 
-// simHook, when non-nil, fires before each local simulation with the
-// cell's config and algorithm. It is the service-layer fault harness's
-// seam into the run path: tests inject transient errors (to exercise
-// retry/backoff), deterministic errors (to prove they are never
-// retried), and panics (to exercise worker isolation) without touching
-// the engine. A non-nil error aborts the cell with that error; a panic
-// propagates to the worker's recovery boundary like any engine panic.
-var (
-	simHookMu sync.Mutex
-	simHook   func(cfg core.Config, alg core.Algorithm) error
-)
-
-// SetSimHook installs (or, with nil, removes) the fault-injection hook.
-// Test-only: production binaries never set it.
-func SetSimHook(fn func(cfg core.Config, alg core.Algorithm) error) {
-	simHookMu.Lock()
-	simHook = fn
-	simHookMu.Unlock()
-}
-
 // simulate is the single place experiment code executes core.Run.
-func simulate(ctx context.Context, cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) (RunOutcome, error) {
-	simHookMu.Lock()
-	hook := simHook
-	simHookMu.Unlock()
+func simulate(ctx context.Context, cfg core.Config, alg core.Algorithm, setups []core.TaskSetup, hook func(core.Config, core.Algorithm) error) (RunOutcome, error) {
 	if hook != nil {
 		if err := hook(cfg, alg); err != nil {
 			return RunOutcome{}, err
@@ -449,13 +435,4 @@ func simulate(ctx context.Context, cfg core.Config, alg core.Algorithm, setups [
 		}
 	}
 	return out, nil
-}
-
-// resetRunMemo drops every memoized run outcome; in-flight entries keep
-// completing for their existing waiters. The persistent disk cache, if
-// any, is left untouched.
-func resetRunMemo() {
-	sched.mu.Lock()
-	sched.entries = make(map[string]*runEntry)
-	sched.mu.Unlock()
 }

@@ -1,32 +1,18 @@
 package experiment
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
-// statsDelta runs f and returns how much each scheduler counter moved.
-func statsDelta(f func()) SchedulerCounters {
-	before := SchedulerStats()
-	f()
-	after := SchedulerStats()
-	return SchedulerCounters{
-		Requested:  after.Requested - before.Requested,
-		Deduped:    after.Deduped - before.Deduped,
-		MemoryHits: after.MemoryHits - before.MemoryHits,
-		DiskHits:   after.DiskHits - before.DiskHits,
-		Simulated:  after.Simulated - before.Simulated,
-		Cancelled:  after.Cancelled - before.Cancelled,
-		Remote:     after.Remote - before.Remote,
-	}
-}
-
 // TestSchedulerSharesRunsAcrossExperiments drives three experiments with
-// Monte Carlo replication concurrently through the shared scheduler (run
+// Monte Carlo replication concurrently through one scheduler (run
 // under -race by the Makefile's race target). fig9 and fig10 consume the
 // same triangular sweep and fig13 the two ramps, so with quick points
 // (5), two algorithms and three replications the batch requests exactly
@@ -35,27 +21,25 @@ func statsDelta(f func()) SchedulerCounters {
 // cells (2 ramp sweeps × 2 algorithms × 3 seeds) are fingerprint-equal
 // to the triangular sweep's and simulate only once.
 func TestSchedulerSharesRunsAcrossExperiments(t *testing.T) {
-	ResetSweepCache()
-	ctx := Context{Quick: true, Parallelism: 4, Seeds: 3}
-	d := statsDelta(func() {
-		var wg sync.WaitGroup
-		for _, id := range []string{"fig9", "fig10", "fig13"} {
-			id := id
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				e, err := ByID(id)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := e.Run(ctx); err != nil {
-					t.Errorf("%s: %v", id, err)
-				}
-			}()
-		}
-		wg.Wait()
-	})
+	ctx := Context{Quick: true, Scheduler: NewScheduler(4), Seeds: 3}
+	var wg sync.WaitGroup
+	for _, id := range []string{"fig9", "fig10", "fig13"} {
+		id := id
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e, err := ByID(id)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := e.Run(ctx); err != nil {
+				t.Errorf("%s: %v", id, err)
+			}
+		}()
+	}
+	wg.Wait()
+	d := ctx.Scheduler.Stats()
 	if want := uint64(90); d.Requested != want {
 		t.Errorf("requested %d runs, want %d (3 sweeps × 5 points × 2 algorithms × 3 seeds)",
 			d.Requested, want)
@@ -76,28 +60,25 @@ func TestSchedulerSharesRunsAcrossExperiments(t *testing.T) {
 // sets overlap; the shared cells must be served from the run memo, not
 // re-simulated.
 func TestSchedulerDedupsOverlappingSweeps(t *testing.T) {
-	ResetSweepCache()
-	first := statsDelta(func() {
-		if _, err := SweepSeeds([]int{0, 4, 8}, TriangularFactory, 2, 2); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if first.Requested != 12 || first.Simulated != 12 {
+	s := NewScheduler(2)
+	if _, err := s.Sweep(context.Background(), []int{0, 4, 8}, TriangularFactory, 2); err != nil {
+		t.Fatal(err)
+	}
+	if first := s.Stats(); first.Requested != 12 || first.Simulated != 12 {
 		t.Fatalf("cold sweep: %+v, want 12 requested / 12 simulated", first)
 	}
-	second := statsDelta(func() {
-		if _, err := SweepSeeds([]int{4, 8, 12}, TriangularFactory, 2, 2); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if second.Requested != 12 {
-		t.Errorf("warm sweep requested %d, want 12", second.Requested)
+	if _, err := s.Sweep(context.Background(), []int{4, 8, 12}, TriangularFactory, 2); err != nil {
+		t.Fatal(err)
 	}
-	if second.MemoryHits != 8 {
-		t.Errorf("warm sweep memory hits = %d, want 8 (points 4 and 8 shared)", second.MemoryHits)
+	both := s.Stats()
+	if both.Requested != 24 {
+		t.Errorf("both sweeps requested %d, want 24", both.Requested)
 	}
-	if second.Simulated != 4 {
-		t.Errorf("warm sweep simulated %d, want 4 (point 12 only)", second.Simulated)
+	if both.MemoryHits != 8 {
+		t.Errorf("warm sweep memory hits = %d, want 8 (points 4 and 8 shared)", both.MemoryHits)
+	}
+	if both.Simulated != 16 {
+		t.Errorf("both sweeps simulated %d, want 16 (the warm one point 12 only)", both.Simulated)
 	}
 }
 
@@ -110,7 +91,7 @@ func TestScheduledRunRejectsTelemetry(t *testing.T) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Telemetry = telemetry.New(telemetry.DefaultConfig())
-	if _, err := ScheduledRun(cfg, core.Predictive, []core.TaskSetup{setup}); err == nil {
+	if _, err := NewScheduler(1).Run(context.Background(), cfg, core.Predictive, []core.TaskSetup{setup}); err == nil {
 		t.Error("telemetry-carrying run accepted by the scheduler")
 	}
 }
@@ -119,7 +100,6 @@ func TestScheduledRunRejectsTelemetry(t *testing.T) {
 // process, so a finished entry must drop its config, task setups and
 // run context, and still serve the identical outcome from the memo.
 func TestFinishedEntryKeepsOnlyOutcome(t *testing.T) {
-	resetRunMemo()
 	setup, err := BenchmarkSetup(TriangularFactory(6 * WorkloadUnit))
 	if err != nil {
 		t.Fatal(err)
@@ -127,17 +107,17 @@ func TestFinishedEntryKeepsOnlyOutcome(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Seed = 770001
 	setups := []core.TaskSetup{setup}
-	var first, second RunOutcome
-	var e *runEntry
-	d := statsDelta(func() {
-		e = sched.submit(cfg, core.Predictive, setups)
-		if first, err = e.wait(); err != nil {
-			t.Fatal(err)
-		}
-		if second, err = ScheduledRun(cfg, core.Predictive, setups); err != nil {
-			t.Fatal(err)
-		}
-	})
+	sched := NewScheduler(1)
+	e := sched.submit(cfg, core.Predictive, setups)
+	first, err := e.wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := sched.Run(context.Background(), cfg, core.Predictive, setups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := sched.Stats()
 	sched.mu.Lock()
 	kept := e.setups != nil || !reflect.DeepEqual(e.cfg, core.Config{}) || e.runCtx != nil || e.cancelRun != nil
 	sched.mu.Unlock()
@@ -182,5 +162,52 @@ func TestRunSeedPinsHistoricalValues(t *testing.T) {
 				seen[s] = id
 			}
 		}
+	}
+}
+
+// concurrencyObserver is a WallObserver that tracks how many cells are
+// running at once, and the most it ever saw.
+type concurrencyObserver struct {
+	mu            sync.Mutex
+	running, peak int
+	cells         int
+}
+
+func (o *concurrencyObserver) CellQueued() {}
+func (o *concurrencyObserver) CellStarted(time.Duration) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.running++
+	o.cells++
+	o.peak = max(o.peak, o.running)
+}
+func (o *concurrencyObserver) CellFinished(string, time.Duration) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.running--
+}
+func (o *concurrencyObserver) DiskHit(time.Duration) {}
+
+// TestSerialSchedulerRunsOneCellAtATime: the experiments that submit
+// cells themselves rather than through a sweep run on the Context's
+// scheduler, so a width-1 scheduler — -check-determinism's serial pass
+// — never runs two of their cells at once.
+func TestSerialSchedulerRunsOneCellAtATime(t *testing.T) {
+	for _, id := range []string{"ext-chaos", "ext-tournament"} {
+		t.Run(id, func(t *testing.T) {
+			e, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			obs := &concurrencyObserver{}
+			sched := NewScheduler(1)
+			sched.SetWallObserver(obs)
+			if _, err := e.Run(Context{Quick: true, Scheduler: sched}); err != nil {
+				t.Fatal(err)
+			}
+			if obs.cells == 0 || obs.peak != 1 {
+				t.Errorf("%d cells ran at most %d at once on a width-1 scheduler, want 1", obs.cells, obs.peak)
+			}
+		})
 	}
 }

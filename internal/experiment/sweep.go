@@ -90,30 +90,18 @@ func runSeed(units int, alg core.Algorithm, rep int) uint64 {
 }
 
 // Sweep runs both algorithms at every max-workload point (in units of 500
-// tracks) through the shared run scheduler, one deterministic seed per
-// cell. Kept as the single-replication form of SweepSeeds.
-func Sweep(points []int, factory PatternFactory, parallelism int) ([]PointResult, error) {
-	return SweepSeeds(points, factory, parallelism, 1)
-}
-
-// SweepSeeds is Sweep with Monte Carlo replication: every (point,
-// algorithm) cell runs under `seeds` deterministic per-replication seeds.
-// All cells of all replications are flattened into the shared scheduler's
-// global queue up front, so independent runs fill the worker pool and
-// identical cells requested by other experiments are simulated only once.
-func SweepSeeds(points []int, factory PatternFactory, parallelism, seeds int) ([]PointResult, error) {
-	return SweepSeedsContext(context.Background(), points, factory, parallelism, seeds)
-}
-
-// SweepSeedsContext is SweepSeeds with cancellation: when ctx is done the
-// sweep unblocks with ctx.Err() and releases its stake in every cell it
-// has not yet consumed, so cells nobody else wants are cancelled instead
-// of simulating into the void. The daemon's sweep jobs run through here.
-func SweepSeedsContext(ctx context.Context, points []int, factory PatternFactory, parallelism, seeds int) ([]PointResult, error) {
+// tracks) with Monte Carlo replication: every (point, algorithm) cell
+// runs under `seeds` deterministic per-replication seeds (< 1 means 1).
+// All cells of all replications are flattened into the scheduler's queue
+// up front, so independent runs fill the worker pool and identical cells
+// requested by other experiments are simulated only once. When ctx is
+// done the sweep unblocks with ctx.Err() and releases its stake in every
+// cell it has not yet consumed, so cells nobody else wants are cancelled
+// instead of simulating into the void.
+func (s *Scheduler) Sweep(ctx context.Context, points []int, factory PatternFactory, seeds int) ([]PointResult, error) {
 	if seeds < 1 {
 		seeds = 1
 	}
-	SetParallelism(parallelism)
 	// One base setup for the whole sweep: the dynbench demand curves and
 	// fitted models are pure, only the Pattern differs between points.
 	base, err := BenchmarkSetup(nil)
@@ -136,7 +124,7 @@ func SweepSeedsContext(ctx context.Context, points []int, factory PatternFactory
 				setup.Pattern = factory(u * WorkloadUnit)
 				cfg := core.DefaultConfig()
 				cfg.Seed = runSeed(u, a, r)
-				c.reps[r] = sched.submit(cfg, a, []core.TaskSetup{setup})
+				c.reps[r] = s.submit(cfg, a, []core.TaskSetup{setup})
 				all = append(all, c.reps[r])
 			}
 			cells = append(cells, c)
@@ -147,13 +135,13 @@ func SweepSeedsContext(ctx context.Context, points []int, factory PatternFactory
 	for i, c := range cells {
 		pr := PointResult{MaxUnits: c.units, Alg: c.alg, Reps: make([]metrics.RunMetrics, seeds)}
 		for r, e := range c.reps {
-			out, err := e.waitCtx(ctx, sched)
+			out, err := e.waitCtx(ctx, s)
 			waited++ // this stake is settled either way: waitCtx abandoned it on ctx expiry, or the entry finished
 			if err != nil {
 				// Release the stake in every cell this sweep will never
 				// consume, so cells nobody else wants stop running.
 				for _, rest := range all[waited:] {
-					sched.abandon(rest)
+					s.abandon(rest)
 				}
 				return nil, fmt.Errorf("experiment: point %d %s rep %d: %w", c.units, c.alg, r, err)
 			}
@@ -199,72 +187,37 @@ func byPointResult(results []PointResult) (points []int, pred, nonpred map[int]P
 	return points, pred, nonpred
 }
 
-// sweepCache memoizes assembled sweep slices between experiments (Figure
-// 9 and Figure 10 consume the same sweep, as do 11/13(a) and 12/13(b)),
-// preserving slice identity for sharing callers. Dedup of the underlying
-// simulations happens a layer below, in the run scheduler — this memo
-// only saves re-assembling (and re-fingerprinting) an identical sweep.
-// Each key maps to a single-flight entry: concurrent callers for the same
-// key block on one execution instead of duplicating it.
-var sweepCache = struct {
-	sync.Mutex
-	m map[string]*sweepEntry
-}{m: make(map[string]*sweepEntry)}
-
+// sweepEntry is one single-flight cell of a Scheduler's sweep memo.
 type sweepEntry struct {
 	once sync.Once
 	res  []PointResult
 	err  error
 }
 
-// onSweepStart, when non-nil, observes each actual sweep execution
-// CachedSweep triggers — a test hook for asserting single-flight
-// behaviour. Set it only while no CachedSweep calls are in flight.
-var onSweepStart func(key string)
-
-// CachedSweep memoizes Sweep by key for the lifetime of the process.
-// Concurrent callers with the same key share one execution and receive
-// the same result slice; treat it as read-only. Errors are memoized too:
-// sweeps are deterministic, so a retry would fail identically.
-func CachedSweep(key string, points []int, factory PatternFactory, parallelism int) ([]PointResult, error) {
-	return CachedSweepSeeds(key, points, factory, parallelism, 1)
-}
-
-// CachedSweepSeeds is CachedSweep with Monte Carlo replication; the
-// replication count is part of the memo key, so a 1-seed and an N-seed
-// render of the same figure coexist (sharing their rep-0 simulations
-// through the run scheduler underneath).
-func CachedSweepSeeds(key string, points []int, factory PatternFactory, parallelism, seeds int) ([]PointResult, error) {
+// CachedSweep memoizes Sweep by key (and replication count) for the life
+// of the scheduler, so experiments that consume the same sweep (Figure 9
+// and Figure 10, as do 11/13(a) and 12/13(b)) share one assembled slice.
+// Dedup of the underlying simulations happens a layer below, in the run
+// memo; this memo saves re-assembling and re-fingerprinting an identical
+// sweep. Concurrent callers with the same key share one execution and
+// receive the same result slice; treat it as read-only. Errors are
+// memoized too: sweeps are deterministic, so a retry would fail
+// identically. A 1-seed and an N-seed render of the same figure coexist,
+// sharing their rep-0 simulations through the run memo.
+func (s *Scheduler) CachedSweep(key string, points []int, factory PatternFactory, seeds int) ([]PointResult, error) {
 	if seeds < 1 {
 		seeds = 1
 	}
 	memoKey := fmt.Sprintf("%s|seeds=%d", key, seeds)
-	sweepCache.Lock()
-	e, ok := sweepCache.m[memoKey]
+	s.mu.Lock()
+	e, ok := s.sweeps[memoKey]
 	if !ok {
 		e = &sweepEntry{}
-		sweepCache.m[memoKey] = e
+		s.sweeps[memoKey] = e
 	}
-	sweepCache.Unlock()
+	s.mu.Unlock()
 	e.once.Do(func() {
-		if onSweepStart != nil {
-			onSweepStart(key)
-		}
-		e.res, e.err = SweepSeeds(points, factory, parallelism, seeds)
+		e.res, e.err = s.Sweep(context.Background(), points, factory, seeds)
 	})
 	return e.res, e.err
-}
-
-// ResetSweepCache drops every memoized sweep and every memoized run in
-// the shared scheduler (the persistent disk cache, if installed, is not
-// touched — remove it with SetDiskCache(nil) to force re-simulation).
-// Determinism audits (rmexperiments -check-determinism) call it so a
-// repeated experiment re-executes its simulations instead of re-reading
-// memoized results; results handed out before the reset remain valid and
-// read-only.
-func ResetSweepCache() {
-	sweepCache.Lock()
-	sweepCache.m = make(map[string]*sweepEntry)
-	sweepCache.Unlock()
-	resetRunMemo()
 }

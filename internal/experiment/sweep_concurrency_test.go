@@ -3,20 +3,17 @@ package experiment
 import (
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
 // TestCachedSweepSingleFlight drives many concurrent same-key callers
-// through CachedSweep and asserts the sweep executed exactly once, with
-// every caller receiving the identical result slice. Run under -race
+// through CachedSweep and asserts the sweep executed exactly once (its
+// four cells were requested once), with every caller receiving the
+// identical result slice. Run under -race
 // (the Makefile's race target covers this package) it also proves the
 // cache's locking is sound.
 func TestCachedSweepSingleFlight(t *testing.T) {
-	var runs atomic.Int32
-	onSweepStart = func(string) { runs.Add(1) }
-	defer func() { onSweepStart = nil }()
-
+	sched := NewScheduler(2)
 	const (
 		key     = "singleflight-test"
 		callers = 8
@@ -31,7 +28,7 @@ func TestCachedSweepSingleFlight(t *testing.T) {
 		go func() {
 			defer done.Done()
 			start.Wait() // maximize contention on the first access
-			results[i], errs[i] = CachedSweep(key, []int{0, 4}, TriangularFactory, 2)
+			results[i], errs[i] = sched.CachedSweep(key, []int{0, 4}, TriangularFactory, 1)
 		}()
 	}
 	start.Done()
@@ -42,8 +39,8 @@ func TestCachedSweepSingleFlight(t *testing.T) {
 			t.Fatalf("caller %d: %v", i, err)
 		}
 	}
-	if got := runs.Load(); got != 1 {
-		t.Fatalf("sweep executed %d times for one key, want 1", got)
+	if got := sched.Stats().Requested; got != 4 {
+		t.Fatalf("sweep requested %d runs for one key, want 4 (one execution of 2 points × 2 algorithms)", got)
 	}
 	for i := 1; i < callers; i++ {
 		if &results[i][0] != &results[0][0] {

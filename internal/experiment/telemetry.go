@@ -39,10 +39,10 @@ func runExtTelemetry(ctx Context) (Output, error) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Telemetry = telemetry.New(telemetry.DefaultConfig())
-	// Deliberately not ScheduledRun: the attached recorder is a per-run
+	// Deliberately not Scheduler.Run: the attached recorder is a per-run
 	// side effect the tables below read back, so a deduplicated or
 	// cache-served run would leave it empty. This stays the one batch
-	// experiment that simulates outside the shared scheduler.
+	// experiment that simulates outside the scheduler.
 	if _, err := core.Run(cfg, core.Predictive, []core.TaskSetup{setup}); err != nil {
 		return Output{}, err
 	}

@@ -107,10 +107,10 @@ func (m *Metrics) Inc(name string, labels ...telemetry.Label) {
 
 // The scheduler-observer half: these four methods satisfy
 // experiment.WallObserver, so a Metrics can be installed directly with
-// experiment.SetWallObserver and every scheduled simulation feeds the
-// serving metrics.
+// (*experiment.Scheduler).SetWallObserver and every simulation scheduled
+// there feeds the serving metrics.
 
-// CellQueued counts one run cell entering the shared scheduler queue.
+// CellQueued counts one run cell entering the scheduler queue.
 func (m *Metrics) CellQueued() {
 	m.Inc("obs_sched_cells_queued_total")
 }

@@ -233,7 +233,7 @@ func (s *Server) runAttempt(j *job) error {
 			// short of a schema drift; fail the job rather than panic.
 			return merr
 		}
-		out, err := experiment.ScheduledRunContext(ctx, cfg, alg, setups)
+		out, err := s.sched.Run(ctx, cfg, alg, setups)
 		if err != nil {
 			return s.deadlineError(ctx, j, err)
 		}
@@ -247,7 +247,7 @@ func (s *Server) runAttempt(j *job) error {
 		if ferr != nil {
 			return ferr
 		}
-		results, err := experiment.SweepSeedsContext(ctx, j.sweep.Points, factory, s.opts.Parallelism, j.sweep.Seeds)
+		results, err := s.sched.Sweep(ctx, j.sweep.Points, factory, j.sweep.Seeds)
 		if err != nil {
 			return s.deadlineError(ctx, j, err)
 		}

@@ -15,8 +15,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/core"
-	"repro/internal/experiment"
 	"repro/internal/resil"
 )
 
@@ -183,14 +181,6 @@ func TestReplayFailsV1Request(t *testing.T) {
 	}
 	jl.Close()
 
-	calls := 0
-	experiment.SetSimHook(func(cfg core.Config, _ core.Algorithm) error {
-		if cfg.Seed == seed {
-			calls++
-		}
-		return nil
-	})
-	t.Cleanup(func() { experiment.SetSimHook(nil) })
 	for restart := 1; restart <= 2; restart++ {
 		s, err := New(Options{DataDir: dir, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 		if err != nil {
@@ -212,9 +202,9 @@ func TestReplayFailsV1Request(t *testing.T) {
 		if got.State != api.JobFailed || got.Attempts != 1 || !strings.Contains(got.Error, "schema_version 1 unsupported") {
 			t.Errorf("restart %d: got state %q, %d attempts, error %q; want one failed attempt naming schema_version 1", restart, got.State, got.Attempts, got.Error)
 		}
-	}
-	if calls != 0 {
-		t.Errorf("v1 request reached the simulator %d times", calls)
+		if n := s.sched.Stats().Requested; n != 0 {
+			t.Errorf("restart %d: v1 request reached the scheduler %d times", restart, n)
+		}
 	}
 }
 

@@ -61,6 +61,7 @@ func get(t *testing.T, url string) (int, string) {
 // strictly before in-flight jobs finish.
 func TestHealthzReadyzDrain(t *testing.T) {
 	srv, base, cl := newRawServer(t, server.Options{})
+	holdRuns(t, srv)
 
 	for _, path := range []string{"/healthz", "/v1/healthz"} {
 		if code, body := get(t, base+path); code != http.StatusOK || body != "ok" {
@@ -72,7 +73,7 @@ func TestHealthzReadyzDrain(t *testing.T) {
 	}
 
 	// Park a job that will still be running when drain starts.
-	j, err := cl.SubmitRun(context.Background(), runReq(obsSeed(1), longValues()))
+	j, err := cl.SubmitRun(context.Background(), runReq(0xb5_0001, []int{500}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestRequestIDCorrelation(t *testing.T) {
 func TestMetricsExposition(t *testing.T) {
 	srv, base, cl := newRawServer(t, server.Options{})
 
-	j, err := cl.SubmitRun(context.Background(), runReq(obsSeed(2), []int{500, 900, 1300}))
+	j, err := cl.SubmitRun(context.Background(), runReq(0xb5_0002, []int{500, 900, 1300}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +210,9 @@ func TestPprofGating(t *testing.T) {
 // frame.
 func TestSSESlowSubscriberDoesNotBlock(t *testing.T) {
 	srv, base, cl := newRawServer(t, server.Options{})
+	holdRuns(t, srv)
 
-	j, err := cl.SubmitRun(context.Background(), runReq(obsSeed(3), longValues()))
+	j, err := cl.SubmitRun(context.Background(), runReq(0xb5_0003, []int{500}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +276,7 @@ func TestSSESlowSubscriberDoesNotBlock(t *testing.T) {
 // through terminal EOF even while another stream is stalled.
 func TestSSEStreamStillServesTerminalFrame(t *testing.T) {
 	_, base, cl := newRawServer(t, server.Options{})
-	j, err := cl.SubmitRun(context.Background(), runReq(obsSeed(4), []int{500, 700}))
+	j, err := cl.SubmitRun(context.Background(), runReq(0xb5_0004, []int{500, 700}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +303,3 @@ func TestSSEStreamStillServesTerminalFrame(t *testing.T) {
 		t.Fatalf("streamed states = %v, want trailing %q", states, api.JobDone)
 	}
 }
-
-// obsSeed namespaces this file's seeds away from server_test.go's so
-// runs are never memory-hits from another test's scheduler cells.
-func obsSeed(n uint64) uint64 { return 0xb5_0000 + n }

@@ -3,15 +3,18 @@ package server_test
 // Service-layer resilience: the durable job journal across restarts,
 // panic isolation, retry/timeout behavior, backpressure hints, and the
 // SSE resume protocol — all driven deterministically through the resil
-// fault harness and the experiment sim hook.
+// fault harness and the sim hook of each test server's own scheduler.
 
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,7 +23,6 @@ import (
 	"repro/internal/api"
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/experiment"
 	"repro/internal/resil"
 	"repro/internal/server"
 )
@@ -37,20 +39,27 @@ func newFaultServer(t *testing.T, opts server.Options) (*server.Server, string, 
 	return srv, ts.URL, client.New(ts.URL, client.WithHTTPClient(ts.Client()))
 }
 
-// seedHook installs a sim hook that fires only for cfg.Seed == seed,
-// keeping cross-test and background jobs unaffected.
-func seedHook(t *testing.T, seed uint64, fn func(calls int) error) *int {
-	t.Helper()
+// seedHook installs a sim hook on srv's scheduler that fires only for
+// cfg.Seed == seed, keeping the test's other jobs unaffected.
+func seedHook(srv *server.Server, seed uint64, fn func(calls int) error) *int {
 	calls := 0
-	experiment.SetSimHook(func(cfg core.Config, alg core.Algorithm) error {
+	srv.Scheduler().OnSimulate(func(cfg core.Config, alg core.Algorithm) error {
 		if cfg.Seed == seed {
 			calls++
 			return fn(calls)
 		}
 		return nil
 	})
-	t.Cleanup(func() { experiment.SetSimHook(nil) })
 	return &calls
+}
+
+// holdRuns blocks every simulation on srv's scheduler until the test
+// ends, so a job stays running for exactly as long as the test needs,
+// however fast the engine is.
+func holdRuns(t *testing.T, srv *server.Server) {
+	release := make(chan struct{})
+	srv.Scheduler().OnSimulate(func(core.Config, core.Algorithm) error { <-release; return nil })
+	t.Cleanup(func() { close(release) })
 }
 
 // TestJournalWriteFailureAtSubmit: when the submit record cannot be made
@@ -127,11 +136,9 @@ func TestRestartReplayConvergesFromCache(t *testing.T) {
 		t.Fatalf("job did not finish: %+v", j)
 	}
 	want := mustJSON(t, *j.Run)
-	statsBefore := experiment.SchedulerStats()
 
-	// "Crash": the old daemon is abandoned, the in-process run memo is
-	// dropped, and a new daemon replays the same journal.
-	experiment.ResetSweepCache()
+	// "Crash": the old daemon is abandoned, and a new daemon — with its
+	// own, empty run memo — replays the same journal.
 	_, cl2 := newTestServer(t, server.Options{DataDir: dir})
 
 	jobs, err := cl2.Jobs(context.Background())
@@ -157,9 +164,13 @@ func TestRestartReplayConvergesFromCache(t *testing.T) {
 	if mustJSON(t, *got.Run) != want {
 		t.Errorf("replayed result drifted from the pre-crash result:\n got %s\nwant %s", mustJSON(t, *got.Run), want)
 	}
-	delta := experiment.SchedulerStats()
-	if sim := delta.Simulated - statsBefore.Simulated; sim != 0 {
-		t.Errorf("replay re-simulated %d cells; the persistent cache should have served the result", sim)
+	st, err := cl2.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Scheduler.Simulated != 0 || st.Scheduler.DiskHits != 1 {
+		t.Errorf("replay simulated %d cells with %d disk hits; the persistent cache should have served the result",
+			st.Scheduler.Simulated, st.Scheduler.DiskHits)
 	}
 }
 
@@ -168,10 +179,10 @@ func TestRestartReplayConvergesFromCache(t *testing.T) {
 // sticky failure into a re-execution.
 func TestRestartRestoresTerminalFailure(t *testing.T) {
 	dir := t.TempDir()
-	calls := seedHook(t, 0x5e4003, func(int) error {
+	srv1, cl1 := newTestServer(t, server.Options{DataDir: dir})
+	calls := seedHook(srv1, 0x5e4003, func(int) error {
 		return fmt.Errorf("deterministic model divergence")
 	})
-	_, cl1 := newTestServer(t, server.Options{DataDir: dir})
 	j, err := cl1.SubmitRun(context.Background(), runReq(0x5e4003, []int{500, 700}))
 	if err != nil {
 		t.Fatal(err)
@@ -195,8 +206,13 @@ func TestRestartRestoresTerminalFailure(t *testing.T) {
 	if !strings.Contains(got.Error, "deterministic model divergence") {
 		t.Errorf("restored job lost its error: %q", got.Error)
 	}
-	if *calls != 1 {
-		t.Errorf("replay re-executed a deterministic failure: %d sim calls, want 1", *calls)
+	st, err := cl2.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *calls != 1 || st.Scheduler.Requested != 0 {
+		t.Errorf("replay re-executed a deterministic failure: %d sim calls before the restart (want 1), %d runs requested after it (want 0)",
+			*calls, st.Scheduler.Requested)
 	}
 }
 
@@ -204,8 +220,8 @@ func TestRestartRestoresTerminalFailure(t *testing.T) {
 // structured job failure; the daemon keeps serving, sibling jobs finish,
 // and the panic counter lands in /v1/metrics.
 func TestWorkerPanicFailsOnlyThatJob(t *testing.T) {
-	seedHook(t, 0x5e4004, func(int) error { panic("injected worker panic") })
-	_, base, cl := newFaultServer(t, server.Options{})
+	srv, base, cl := newFaultServer(t, server.Options{})
+	seedHook(srv, 0x5e4004, func(int) error { panic("injected worker panic") })
 
 	bad, err := cl.SubmitRun(context.Background(), runReq(0x5e4004, []int{500, 700}))
 	if err != nil {
@@ -247,14 +263,14 @@ func TestWorkerPanicFailsOnlyThatJob(t *testing.T) {
 // TestTransientFailureRetriedToSuccess: a transiently failing job passes
 // through the retrying state and succeeds on the second attempt.
 func TestTransientFailureRetriedToSuccess(t *testing.T) {
-	calls := seedHook(t, 0x5e4006, func(n int) error {
+	srv, cl := newTestServer(t, server.Options{
+		Retry: resil.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
+	})
+	calls := seedHook(srv, 0x5e4006, func(n int) error {
 		if n == 1 {
 			return resil.Transientf("injected queue race")
 		}
 		return nil
-	})
-	_, cl := newTestServer(t, server.Options{
-		Retry: resil.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
 	})
 	j, err := cl.SubmitRun(context.Background(), runReq(0x5e4006, []int{500, 700}))
 	if err != nil {
@@ -275,11 +291,11 @@ func TestTransientFailureRetriedToSuccess(t *testing.T) {
 // TestDeterministicErrorNeverRetried: ordinary (unmarked) errors fail
 // fast — one attempt, one execution.
 func TestDeterministicErrorNeverRetried(t *testing.T) {
-	calls := seedHook(t, 0x5e4007, func(int) error {
-		return fmt.Errorf("deterministic failure")
-	})
-	_, cl := newTestServer(t, server.Options{
+	srv, cl := newTestServer(t, server.Options{
 		Retry: resil.Backoff{Base: time.Millisecond, Attempts: 5},
+	})
+	calls := seedHook(srv, 0x5e4007, func(int) error {
+		return fmt.Errorf("deterministic failure")
 	})
 	j, err := cl.SubmitRun(context.Background(), runReq(0x5e4007, []int{500, 700}))
 	if err != nil {
@@ -300,11 +316,11 @@ func TestDeterministicErrorNeverRetried(t *testing.T) {
 // TestTransientRetriesExhaust: a job whose transient failure never heals
 // consumes exactly Retry.Attempts executions, then fails.
 func TestTransientRetriesExhaust(t *testing.T) {
-	calls := seedHook(t, 0x5e4008, func(int) error {
-		return resil.Transientf("injected persistent flake")
-	})
-	_, cl := newTestServer(t, server.Options{
+	srv, cl := newTestServer(t, server.Options{
 		Retry: resil.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Attempts: 3},
+	})
+	calls := seedHook(srv, 0x5e4008, func(int) error {
+		return resil.Transientf("injected persistent flake")
 	})
 	j, err := cl.SubmitRun(context.Background(), runReq(0x5e4008, []int{500, 700}))
 	if err != nil {
@@ -323,8 +339,9 @@ func TestTransientRetriesExhaust(t *testing.T) {
 // too-slow attempt into a terminal failure — deadlines lose the same
 // race every retry, so one attempt is spent.
 func TestJobTimeoutFailsWithoutRetry(t *testing.T) {
-	_, cl := newTestServer(t, server.Options{JobTimeout: 50 * time.Millisecond})
-	j, err := cl.SubmitRun(context.Background(), runReq(0x5e4009, longValues()))
+	srv, cl := newTestServer(t, server.Options{JobTimeout: 50 * time.Millisecond})
+	holdRuns(t, srv)
+	j, err := cl.SubmitRun(context.Background(), runReq(0x5e4009, []int{500}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,12 +360,16 @@ func TestJobTimeoutFailsWithoutRetry(t *testing.T) {
 // TestQueueFullRetryAfter: 429 rejections carry a Retry-After derived
 // from the queue's drain rate.
 func TestQueueFullRetryAfter(t *testing.T) {
-	_, base, cl := newFaultServer(t, server.Options{Workers: 1, QueueDepth: 1})
-	first, err := cl.SubmitRun(context.Background(), runReq(0x5e400a, longValues()))
+	srv, base, cl := newFaultServer(t, server.Options{Workers: 1, QueueDepth: 1})
+	holdRuns(t, srv)
+	first, err := cl.SubmitRun(context.Background(), runReq(0x5e400a, []int{500}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := cl.SubmitRun(context.Background(), runReq(0x5e400b, longValues()))
+	// The first job must hold the worker before the second can wait in
+	// the one-deep queue.
+	waitForState(t, cl, first.ID, api.JobRunning)
+	second, err := cl.SubmitRun(context.Background(), runReq(0x5e400b, []int{500}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,8 +429,6 @@ func TestDrainPersistsJournal(t *testing.T) {
 
 	// The journal recorded the completion: a restart converges the job
 	// from cache without re-simulating.
-	experiment.ResetSweepCache()
-	before := experiment.SchedulerStats()
 	_, cl2 := newTestServer(t, server.Options{DataDir: dir})
 	got, err := cl2.Wait(context.Background(), j.ID)
 	if err != nil {
@@ -418,8 +437,12 @@ func TestDrainPersistsJournal(t *testing.T) {
 	if got.State != api.JobDone || mustJSON(t, *got.Run) != mustJSON(t, *done.Run) {
 		t.Errorf("restart after drain drifted: %+v vs %+v", got, done)
 	}
-	if sim := experiment.SchedulerStats().Simulated - before.Simulated; sim != 0 {
-		t.Errorf("restart re-simulated %d cells after a clean drain", sim)
+	st, err := cl2.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Scheduler.Simulated != 0 {
+		t.Errorf("restart re-simulated %d cells after a clean drain", st.Scheduler.Simulated)
 	}
 }
 
@@ -455,8 +478,9 @@ func readFrames(r io.Reader) []sseFrame {
 // stream for an already-seen running state delivers only the terminal
 // transition.
 func TestSSEResumeSkipsSeenFrames(t *testing.T) {
-	_, base, cl := newFaultServer(t, server.Options{})
-	j, err := cl.SubmitRun(context.Background(), runReq(0x5e400e, longValues()))
+	srv, base, cl := newFaultServer(t, server.Options{})
+	holdRuns(t, srv)
+	j, err := cl.SubmitRun(context.Background(), runReq(0x5e400e, []int{500}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,5 +534,49 @@ func TestSSEResumeSkipsSeenFrames(t *testing.T) {
 	}
 	if prev, _ := strconv.Atoi(lastID); frames[0].id != strconv.Itoa(prev+1) {
 		t.Errorf("terminal frame id %s does not follow resumed id %s", frames[0].id, lastID)
+	}
+}
+
+// TestOversizeBodyRejected: a request body one byte past the 1 MiB
+// limit gets 413 request_too_large on every decoding endpoint, and
+// nothing is admitted: no job, no session, no journal record.
+func TestOversizeBodyRejected(t *testing.T) {
+	const limit = 1 << 20
+	dir := t.TempDir()
+	_, base, cl := newFaultServer(t, server.Options{DataDir: dir})
+	// The padding sits inside the JSON value, so the decoder must read
+	// every byte to finish it.
+	prefix, suffix := `{"pad":"`, `"}`
+	body := prefix + strings.Repeat("x", limit+1-len(prefix)-len(suffix)) + suffix
+	for _, path := range []string{"/v1/runs", "/v1/sweeps", "/v1/sessions"} {
+		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), api.CodeRequestTooLarge) {
+			t.Errorf("POST %s with %d bytes = %d %s, want 413 %s", path, len(body), resp.StatusCode, msg, api.CodeRequestTooLarge)
+		}
+	}
+	jobs, err := cl.Jobs(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(base + "/v1/sessions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sessions []api.Session
+	err = json.NewDecoder(resp.Body).Decode(&sessions)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 0 || len(sessions) != 0 {
+		t.Errorf("oversize bodies admitted %d jobs and %d sessions, want none", len(jobs), len(sessions))
+	}
+	if wal, err := os.ReadFile(filepath.Join(dir, "journal.wal")); err != nil || len(wal) != 0 {
+		t.Errorf("journal after oversize bodies: %d bytes (%v), want an empty journal", len(wal), err)
 	}
 }

@@ -1,9 +1,9 @@
 // Package server implements rmserved: the long-lived HTTP daemon that
-// turns the shared run scheduler (internal/experiment) into a
-// multi-tenant simulation service. Jobs submitted as api wire specs flow
-// through ScheduledRunContext / SweepSeedsContext, so identical
-// submissions dedup via single-flight and the content-addressed disk
-// cache exactly as batch experiments do; the serving layer adds the
+// turns a run scheduler (internal/experiment) into a multi-tenant
+// simulation service. Each Server owns its own experiment.Scheduler, and
+// jobs submitted as api wire specs flow through its Run and Sweep, so
+// identical submissions dedup via single-flight and the content-addressed
+// disk cache exactly as batch experiments do; the serving layer adds the
 // production behaviors batch mode never needed — a bounded queue with
 // 429 backpressure, per-job cancellation, SSE progress streams,
 // request-scoped structured logging, and graceful drain.
@@ -44,6 +44,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -71,11 +72,11 @@ type Options struct {
 	// QueueDepth bounds jobs waiting for a worker; submissions beyond it
 	// are rejected with 429. ≤0 means 64.
 	QueueDepth int
-	// Parallelism is handed to the run scheduler per sweep (simulations
-	// per sweep job); ≤0 means NumCPU.
+	// Parallelism is the width of the Server's run scheduler: the most
+	// simulations its jobs run at once; ≤0 means NumCPU.
 	Parallelism int
 	// CacheDir, when set, opens a persistent content-addressed run cache
-	// and installs it on the shared scheduler. Unset with DataDir set, it
+	// and installs it on the Server's scheduler. Unset with DataDir set, it
 	// defaults to DataDir/cache so results survive restarts alongside the
 	// journal.
 	CacheDir string
@@ -130,6 +131,7 @@ type Server struct {
 	draining atomic.Bool
 	inflight sync.WaitGroup // every admitted, unfinished job
 
+	sched    *experiment.Scheduler
 	metrics  *obs.Metrics
 	nextID   atomic.Uint64
 	sessions *session.Manager
@@ -172,6 +174,7 @@ func New(opts Options) (*Server, error) {
 		log:     opts.Logger,
 		jobs:    make(map[string]*job),
 		slots:   make(chan struct{}, opts.Workers),
+		sched:   experiment.NewScheduler(opts.Parallelism),
 		metrics: obs.NewMetrics(),
 		sessions: session.NewManager(session.Config{
 			MaxSessions: opts.MaxSessions,
@@ -184,12 +187,9 @@ func New(opts Options) (*Server, error) {
 			return nil, err
 		}
 		cache.OnCorrupt = func(string) { s.metrics.Inc("obs_disk_cache_corrupt_total") }
-		experiment.SetDiskCache(cache)
+		s.sched.SetDiskCache(cache)
 	}
-	// The run scheduler is process-global, so its wall-clock observer is
-	// too; the most recently constructed Server owns it (matching how
-	// SetDiskCache already behaves for the cache).
-	experiment.SetWallObserver(s.metrics)
+	s.sched.SetWallObserver(s.metrics)
 	s.routes()
 	if opts.DataDir != "" {
 		if err := s.restoreJournal(); err != nil {
@@ -379,6 +379,26 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 	writeJSON(w, status, api.ErrorEnvelope{Error: api.Error{Code: code, Message: fmt.Sprintf(format, args...)}})
 }
 
+// maxRequestBody bounds every JSON request body the daemon decodes.
+const maxRequestBody = 1 << 20
+
+// decodeRequest decodes r's JSON body into v. When it cannot, it writes
+// the error envelope — 413 past maxRequestBody, 400 otherwise — and
+// returns false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, api.CodeRequestTooLarge, "%s body exceeds %d bytes", what, maxRequestBody)
+	default:
+		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "decoding %s: %v", what, err)
+	}
+	return false
+}
+
 // admit reserves a queue position for a new job, enforcing drain and
 // backpressure. On success the caller owns one inflight stake.
 func (s *Server) admit(w http.ResponseWriter) bool {
@@ -562,8 +582,7 @@ func (s *Server) newJob(r *http.Request, kind string) *job {
 
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var req api.RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "decoding run request: %v", err)
+	if !decodeRequest(w, r, "run request", &req) {
 		return
 	}
 	// Validate the whole spec here — including materialization — so a bad
@@ -593,8 +612,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var req api.SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "decoding sweep request: %v", err)
+	if !decodeRequest(w, r, "sweep request", &req) {
 		return
 	}
 	if err := req.Validate(); err != nil {
@@ -794,7 +812,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats := api.Stats{
 		SchemaVersion: api.SchemaVersion,
-		Scheduler:     experiment.SchedulerStatsToAPI(experiment.SchedulerStats()),
+		Scheduler:     experiment.SchedulerStatsToAPI(s.sched.Stats()),
 		QueueCapacity: s.opts.QueueDepth,
 		Workers:       s.opts.Workers,
 		Draining:      s.draining.Load(),

@@ -54,16 +54,6 @@ func runReq(seed uint64, values []int) api.RunRequest {
 	}
 }
 
-// longValues is a workload long enough (several seconds of wall time)
-// that a job is reliably still running when the test cancels it.
-func longValues() []int {
-	v := make([]int, 500_000)
-	for i := range v {
-		v[i] = 9000
-	}
-	return v
-}
-
 func mustJSON(t *testing.T, v any) string {
 	t.Helper()
 	data, err := json.Marshal(v)
@@ -97,7 +87,7 @@ func waitForState(t *testing.T, cl *client.Client, id, want string) api.Job {
 
 // TestSubmitRunMatchesDirectScheduledRun is the acceptance criterion:
 // a run submitted over the API must produce byte-for-byte the same
-// result as calling experiment.ScheduledRun directly — even when the
+// result as a direct run on an experiment.Scheduler — even when the
 // direct run re-simulates from scratch.
 func TestSubmitRunMatchesDirectScheduledRun(t *testing.T) {
 	_, cl := newTestServer(t, server.Options{})
@@ -115,20 +105,19 @@ func TestSubmitRunMatchesDirectScheduledRun(t *testing.T) {
 		t.Fatalf("job %s ended %q (error %q), want done with a run result", j.ID, j.State, j.Error)
 	}
 
-	// Recompute the same cell locally with a cold memo, so the comparison
-	// is against a fresh simulation, not the daemon's memoized result.
-	experiment.ResetSweepCache()
+	// Recompute the same cell on a scheduler of its own, so the
+	// comparison is against a fresh simulation, not the daemon's memo.
 	cfg, alg, setups, err := experiment.MaterializeRun(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := experiment.ScheduledRun(cfg, alg, setups)
+	out, err := experiment.NewScheduler(1).Run(context.Background(), cfg, alg, setups)
 	if err != nil {
 		t.Fatal(err)
 	}
 	direct := experiment.OutcomeToAPI(out)
 	if got, want := mustJSON(t, *j.Run), mustJSON(t, direct); got != want {
-		t.Errorf("API result differs from direct ScheduledRun:\n got %s\nwant %s", got, want)
+		t.Errorf("API result differs from a direct scheduled run:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -186,15 +175,13 @@ func TestDedupConcurrentIdenticalSubmissions(t *testing.T) {
 }
 
 // TestCancelMidRun: DELETE on a running job cancels the underlying
-// simulation and reports the cancelled terminal state.
+// simulation and reports the cancelled terminal state. The run is
+// 500,000 periods long, so the engine is interrupted mid-run.
 func TestCancelMidRun(t *testing.T) {
 	_, cl := newTestServer(t, server.Options{})
-	before, err := cl.Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	j, err := cl.SubmitRun(context.Background(), runReq(770003, longValues()))
+	req := runReq(770003, nil)
+	req.Task.Pattern = api.Pattern{Kind: api.PatternConstant, Value: 9000, Periods: 500_000}
+	j, err := cl.SubmitRun(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +207,7 @@ func TestCancelMidRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if after.Scheduler.Cancelled > before.Scheduler.Cancelled {
+		if after.Scheduler.Cancelled > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -247,14 +234,10 @@ func TestCancelMidRun(t *testing.T) {
 // long a run takes, and retries are off so the first response is the one
 // asserted.
 func TestQueueFullReturns429(t *testing.T) {
-	_, cl := newTestServer(t, server.Options{Workers: 1, QueueDepth: 1},
+	srv, cl := newTestServer(t, server.Options{Workers: 1, QueueDepth: 1},
 		client.WithRetries(resil.Backoff{Attempts: 1}))
 	ctx := context.Background()
-	// A memoized outcome would bypass the hook and free the worker.
-	experiment.ResetSweepCache()
-	release := make(chan struct{})
-	seedHook(t, 770004, func(int) error { <-release; return nil })
-	t.Cleanup(func() { close(release) })
+	holdRuns(t, srv)
 
 	running, err := cl.SubmitRun(ctx, runReq(770004, []int{500}))
 	if err != nil {
@@ -384,7 +367,7 @@ func TestJobNotFound(t *testing.T) {
 }
 
 // TestSweepJob: a sweep submitted over the API matches the direct
-// SweepSeeds result exactly.
+// Scheduler.Sweep result exactly.
 func TestSweepJob(t *testing.T) {
 	_, cl := newTestServer(t, server.Options{})
 	req := api.SweepRequest{
@@ -403,11 +386,39 @@ func TestSweepJob(t *testing.T) {
 	if j.State != api.JobDone || j.Sweep == nil {
 		t.Fatalf("sweep ended %q (error %q)", j.State, j.Error)
 	}
-	direct, err := experiment.SweepSeeds(req.Points, experiment.TriangularFactory, 0, 1)
+	direct, err := experiment.NewScheduler(0).Sweep(context.Background(), req.Points, experiment.TriangularFactory, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := mustJSON(t, *j.Sweep), mustJSON(t, experiment.SweepToAPI(direct)); got != want {
-		t.Errorf("API sweep differs from direct SweepSeeds:\n got %s\nwant %s", got, want)
+		t.Errorf("API sweep differs from direct Scheduler.Sweep:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestServersDoNotShareRuns: each Server owns its run scheduler, so two
+// Servers in one process share neither the run memo nor a disk cache —
+// B, built without a cache, must not serve from A's — and each
+// /v1/stats counts only its own runs.
+func TestServersDoNotShareRuns(t *testing.T) {
+	_, clA := newTestServer(t, server.Options{DataDir: t.TempDir()})
+	_, clB := newTestServer(t, server.Options{})
+	req := runReq(770010, []int{500, 1500, 2500})
+	for _, cl := range []*client.Client{clA, clB} {
+		j, err := cl.SubmitRun(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j, err = cl.Wait(context.Background(), j.ID); err != nil || j.State != api.JobDone {
+			t.Fatalf("job %s ended %q (error %q, %v), want done", j.ID, j.State, j.Error, err)
+		}
+	}
+	for name, cl := range map[string]*client.Client{"A": clA, "B": clB} {
+		st, err := cl.Stats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (api.SchedulerStats{Requested: 1, Simulated: 1}); st.Scheduler != want {
+			t.Errorf("server %s scheduler stats %+v, want %+v", name, st.Scheduler, want)
+		}
 	}
 }

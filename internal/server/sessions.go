@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -18,8 +17,7 @@ import (
 // is the backpressure and over-cap creation is rejected outright.
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req api.SessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "decoding session request: %v", err)
+	if !decodeRequest(w, r, "session request", &req) {
 		return
 	}
 	if s.draining.Load() {
