@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -134,12 +135,17 @@ func main() {
 	if *mtbf > 0 || *drop > 0 {
 		cfg.Degradation = core.HardenedDegradation()
 	}
+	// The telemetry recorder consumes the run's observation stream; a
+	// nil sink runs unobserved.
+	var rec *telemetry.Recorder
+	var sink core.Sink
 	if *telOut != "" || *chrome != "" {
-		cfg.Telemetry = telemetry.New(telemetry.DefaultConfig())
+		rec = telemetry.New()
+		sink = rec
 	}
 	setups := []core.TaskSetup{setup}
 	if *lanes >= 2 {
-		if cfg.Telemetry.Enabled() {
+		if rec != nil {
 			fatal(fmt.Errorf("-lanes %d cannot be combined with telemetry outputs (per-lane recorders cannot be merged)", *lanes))
 		}
 		// One segment of the default size per lane, each running its own
@@ -159,7 +165,7 @@ func main() {
 	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
-	res, err := core.Run(cfg, alg, setups)
+	res, err := core.RunObservedContext(context.Background(), cfg, alg, setups, sink)
 	if err != nil {
 		fatal(err)
 	}
@@ -200,8 +206,8 @@ func main() {
 			s.P50, s.P95, s.Max, dynbench.Deadline)
 	}
 
-	if cfg.Telemetry.Enabled() {
-		printTelemetrySummary(cfg.Telemetry.Snapshot())
+	if rec != nil {
+		printTelemetrySummary(rec.Snapshot())
 	}
 
 	if *events {
@@ -217,18 +223,14 @@ func main() {
 	}
 	if *traceOut != "" {
 		writeOutput(*traceOut, *force, fmt.Sprintf("trace (%d rows)", len(res.Records)), func(f io.Writer) error {
-			log := trace.NewLog()
-			for _, r := range res.Records {
-				log.Record(r)
-			}
-			return log.WriteRecordsCSV(f)
+			return trace.WriteRecordsCSV(f, res.Records)
 		})
 	}
 	if *telOut != "" {
-		writeOutput(*telOut, *force, "telemetry snapshot", cfg.Telemetry.WriteSnapshot)
+		writeOutput(*telOut, *force, "telemetry snapshot", rec.WriteSnapshot)
 	}
 	if *chrome != "" {
-		writeOutput(*chrome, *force, "Chrome trace", cfg.Telemetry.WriteChromeTrace)
+		writeOutput(*chrome, *force, "Chrome trace", rec.WriteChromeTrace)
 	}
 }
 

@@ -271,8 +271,7 @@ func TestConfigRoundTrip(t *testing.T) {
 }
 
 // TestConfigMirrorsEveryCoreField reflectively mutates each leaf of
-// core.Config (Telemetry excepted — it observes a run, it does not shape
-// one) and asserts the mutation is visible in the wire encoding. A new
+// core.Config and asserts the mutation is visible in the wire encoding. A new
 // core knob that the mirror misses fails here, not in production as a
 // silently-ignored field.
 func TestConfigMirrorsEveryCoreField(t *testing.T) {
@@ -324,9 +323,6 @@ func TestConfigMirrorsEveryCoreField(t *testing.T) {
 				f.Set(reflect.Append(reflect.MakeSlice(sf.Type, 0, 1), el))
 				check(t, root, name)
 				f.Set(reflect.Zero(sf.Type))
-			case reflect.Ptr, reflect.Interface:
-				// Telemetry: deliberately not on the wire.
-				continue
 			default:
 				if !mutateLeaf(f) {
 					t.Errorf("core.Config.%s: kind %v not handled by the walker", name, f.Kind())

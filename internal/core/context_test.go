@@ -4,34 +4,35 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
+	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// TestRunContextCancellation: a run under a cancellable context stops
-// promptly with the context's error instead of simulating to the end.
+// TestRunContextCancellation: a run whose context is cancelled stops
+// with the context's error instead of simulating to the end. The sink
+// cancels at the first state sample, so the test does not race the
+// engine: no later sample may arrive.
 func TestRunContextCancellation(t *testing.T) {
-	pattern := workload.NewConstant(9000, 200_000) // minutes of events if left alone
+	pattern := workload.NewConstant(9000, 1000)
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	start := time.Now()
-	go func() {
-		_, err := RunContext(ctx, DefaultConfig(), Predictive, []TaskSetup{benchSetup(pattern)})
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("cancelled run returned %v, want context.Canceled", err)
-		}
-		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			t.Errorf("cancellation took %v; the engine checks every few thousand events", elapsed)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled run never returned")
+	defer cancel()
+	samples := 0
+	_, err := RunObservedContext(ctx, DefaultConfig(), Predictive, []TaskSetup{benchSetup(pattern)}, testSink{
+		every: sim.Second,
+		emit: func(e trace.Event) {
+			if e.Kind == trace.KindSample {
+				samples++
+				cancel()
+			}
+		},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled run returned %v, want context.Canceled", err)
+	}
+	if samples != 1 {
+		t.Errorf("sink saw %d samples, want 1: the run went on after its context was cancelled", samples)
 	}
 }
 

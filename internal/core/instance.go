@@ -5,6 +5,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/task"
+	"repro/internal/trace"
 )
 
 // instance is one in-flight period of a task. Replica placement is frozen
@@ -12,7 +13,7 @@ import (
 //
 // Instances are recycled through the owning runtimeTask's free list: the
 // slice storage survives across periods, so a steady-state period launch
-// allocates only the PeriodRecord (which the trace log retains).
+// allocates only the PeriodRecord (which the run result retains).
 type instance struct {
 	rt  *runtimeTask
 	rec *task.PeriodRecord
@@ -71,11 +72,6 @@ type taskMsg struct {
 	nextFree *taskMsg
 }
 
-// Task messages carry their *taskMsg context in Meta; the segment-level
-// telemetry observer recognizes that type and skips them so they are not
-// double-counted as system traffic (the facade records them itself, with
-// task/stage/period context).
-
 // newReplicaJob takes a context from the free list, or allocates one and
 // binds its completion callback.
 func (s *system) newReplicaJob() *replicaJob {
@@ -127,7 +123,7 @@ func (tm *taskMsg) maybeFree() {
 
 // newInstance recycles an instance from rt's free list (resizing its
 // per-stage storage for the current replica counts) or builds a fresh
-// one. The PeriodRecord is always freshly allocated: the trace log and
+// one. The PeriodRecord is always freshly allocated: the run result and
 // the monitor retain it beyond the instance's life.
 func (s *system) newInstance(rt *runtimeTask, c, items, n int) *instance {
 	now := s.eng.Now()
@@ -197,18 +193,20 @@ func (s *system) launch(rt *runtimeTask, c, items int) {
 	}
 	rt.inFlight++
 
-	// Record the eq. (3)/(5) forecasts for this period with the ACTUAL
-	// item count, pairing each against the observation at completion.
-	// Using the true count (not the allocator's one-period-stale view)
-	// isolates model quality from workload staleness in the residuals.
-	if s.tel.Enabled() {
+	// Emit the eq. (3)/(5) forecasts for this period with the ACTUAL
+	// item count, for pairing with the KindStage observation at
+	// completion. Using the true count (not the allocator's
+	// one-period-stale view) isolates model quality from workload
+	// staleness in the residuals.
+	if s.sink != nil {
 		chain := rt.estimateChain(s, items, maxInt(s.totalItems(), items))
 		for i := 0; i < n; i++ {
 			comm := sim.Time(-1) // final stage: no outgoing message
 			if i < n-1 {
 				comm = chain.Comm[i]
 			}
-			s.tel.Predict(spec.Name, i, c, chain.Exec[i], comm)
+			s.sink.Emit(trace.Event{Kind: trace.KindForecast, At: s.eng.Now(), Task: spec.Name,
+				Stage: int32(i), Period: int32(c), Latency: chain.Exec[i], Comm: comm})
 		}
 	}
 
@@ -246,8 +244,11 @@ func (rj *replicaJob) onComplete(at sim.Time) {
 	// Attribute the CPU time to this task so utilization sampling can
 	// separate own work from background.
 	inst.rt.ownBusy[rj.proc] += rj.demand
-	s.tel.RecordExec(inst.rt.setup.Spec.Name, stage, inst.rec.Period, rj.proc,
-		inst.replicaInputItems(stage, idx), rj.job.SubmittedAt, rj.job.StartedAt, at)
+	if s.sink != nil {
+		s.sink.Emit(trace.Event{Kind: trace.KindExec, At: at, Task: inst.rt.setup.Spec.Name,
+			Stage: int32(stage), Period: int32(inst.rec.Period), Proc: int32(rj.proc),
+			Start: rj.job.SubmittedAt, Mid: rj.job.StartedAt, Value: int64(inst.replicaInputItems(stage, idx))})
+	}
 	// The context is done before replicaDone runs: nothing downstream
 	// submits synchronously into this burst, and all fields are copied.
 	s.freeReplicaJob(rj)
@@ -319,7 +320,9 @@ func (tm *taskMsg) timeout() {
 	}
 	tm.attempt++
 	s.collector.CountRetransmission()
-	s.tel.CountRetransmit()
+	if s.sink != nil {
+		s.sink.Emit(trace.Event{Kind: trace.KindRetransmit, At: s.eng.Now()})
+	}
 	s.sendTaskMsg(tm)
 }
 
@@ -328,7 +331,9 @@ func (tm *taskMsg) timeout() {
 func dropTaskMsg(m *network.Message) {
 	tm := m.Meta.(*taskMsg)
 	s := tm.s
-	s.tel.CountMessageDrop()
+	if s.sink != nil {
+		s.sink.Emit(trace.Event{Kind: trace.KindDrop, At: s.eng.Now()})
+	}
 	s.seg.ReleaseMessage(m)
 	tm.outstanding--
 	tm.maybeFree()
@@ -349,8 +354,11 @@ func deliverTaskMsg(m *network.Message) {
 	}
 	tm.done = true
 	tm.watchdog.Cancel()
-	s.tel.RecordMessage(inst.rt.setup.Spec.Name, stage, inst.rec.Period,
-		m.From, m.To, m.PayloadBytes, m.EnqueuedAt, m.SentAt, m.DeliveredAt)
+	if s.sink != nil {
+		s.sink.Emit(trace.Event{Kind: trace.KindMessage, At: m.DeliveredAt, Task: inst.rt.setup.Spec.Name,
+			Stage: int32(stage), Period: int32(inst.rec.Period), From: int32(m.From), Proc: int32(m.To),
+			Start: m.EnqueuedAt, Mid: m.SentAt, Value: m.PayloadBytes})
+	}
 	at := m.DeliveredAt
 	tm.maybeFree()
 	s.seg.ReleaseMessage(m)
@@ -392,21 +400,9 @@ func (s *system) complete(inst *instance) {
 		}
 		s.openCrashes = s.openCrashes[:0]
 	}
-	s.log.Record(inst.rec)
-	if s.tel.Enabled() {
-		rt, rec := inst.rt, inst.rec
-		name := rt.setup.Spec.Name
-		for _, ss := range rt.mon.StageSlacks(rec) {
-			s.tel.RecordStage(name, ss.Stage, rec.Period, ss.Latency, ss.Deadline)
-		}
-		for i := range rec.Stages {
-			comm := sim.Time(-1)
-			if i < len(rec.Stages)-1 {
-				comm = rec.Stages[i].CommLatency()
-			}
-			s.tel.ObserveForecast(name, i, rec.Period, rec.Stages[i].ExecLatency(), comm)
-		}
-		s.tel.RecordEndToEnd(name, rec.Period, rec.EndToEnd(), rt.setup.Spec.Deadline, rec.Missed())
+	s.records = append(s.records, inst.rec)
+	if s.sink != nil {
+		s.emitCompletion(inst)
 	}
 	// A period that straddled a node transition carries observations from
 	// a half-crashed world; with a staleness window configured, it does
@@ -419,4 +415,24 @@ func (s *system) complete(inst *instance) {
 	// All jobs and messages of this period have finished; the instance
 	// can serve the next period.
 	s.releaseInstance(inst)
+}
+
+// emitCompletion emits a completed instance: one KindStage per stage,
+// measured against the EQF sub-deadline the monitor holds now, then the
+// end-to-end KindEndToEnd.
+func (s *system) emitCompletion(inst *instance) {
+	rt, rec := inst.rt, inst.rec
+	name := rt.setup.Spec.Name
+	now := s.eng.Now()
+	for i := range rec.Stages {
+		comm := sim.Time(-1)
+		if i < len(rec.Stages)-1 {
+			comm = rec.Stages[i].CommLatency()
+		}
+		s.sink.Emit(trace.Event{Kind: trace.KindStage, At: now, Task: name,
+			Stage: int32(i), Period: int32(rec.Period), Latency: rec.Stages[i].ExecLatency(),
+			Comm: comm, Deadline: rt.mon.SubtaskDeadline(i)})
+	}
+	s.sink.Emit(trace.Event{Kind: trace.KindEndToEnd, At: now, Task: name, Period: int32(rec.Period),
+		Latency: rec.EndToEnd(), Deadline: rt.setup.Spec.Deadline, Missed: rec.Missed()})
 }

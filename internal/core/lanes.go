@@ -60,9 +60,9 @@ func (ll *laneLinks) BroadcastItems(src, total int) {
 // the fixed (time, source lane, sequence) order. The final Result is
 // assembled from the per-lane systems by order-insensitive metric sums
 // and stable time-ordered merges of records and events.
-func runLanes(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSetup) (Result, error) {
-	if cfg.Telemetry.Enabled() {
-		return Result{}, fmt.Errorf("core: telemetry is not supported with Lanes ≥ 2 (per-lane recorders cannot be merged)")
+func runLanes(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSetup, sink Sink) (Result, error) {
+	if sink != nil {
+		return Result{}, fmt.Errorf("core: observed runs do not support lane partitioning (Lanes=%d): per-lane streams cannot be merged", cfg.Lanes)
 	}
 	lanes := cfg.Lanes
 	laneSize := cfg.NumNodes / lanes // Validate guarantees divisibility
@@ -137,7 +137,7 @@ func runLanes(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSetup
 			sort.Slice(wins, func(i, j int) bool { return wins[i].Start < wins[j].Start })
 			lcfg.Network.Partitions = wins
 		}
-		sys, err := buildSystem(lcfg, alg, laneSetups[l], ls.Lane(l), laneFaults(faults, l, laneSize))
+		sys, err := buildSystem(lcfg, alg, laneSetups[l], ls.Lane(l), laneFaults(faults, l, laneSize), nil)
 		if err != nil {
 			return Result{}, err
 		}
@@ -182,8 +182,8 @@ func mergeLaneResults(ls *sim.LaneSet, systems []*system) Result {
 	var events []trace.AdaptationEvent
 	var fired uint64
 	for _, sys := range systems {
-		records = append(records, sys.log.Records()...)
-		for _, e := range sys.log.Events() {
+		records = append(records, sys.records...)
+		for _, e := range sys.events {
 			// Lanes log local node IDs; report global ones.
 			for i := range e.Procs {
 				e.Procs[i] += sys.laneBase

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -191,9 +192,8 @@ func TestLaneConfigErrors(t *testing.T) {
 	}
 
 	cfg = laneTestConfigDefaultChaos(2, 0)
-	cfg.Telemetry = telemetry.New(telemetry.DefaultConfig())
-	if _, err := Run(cfg, Predictive, setups); err == nil {
-		t.Error("no error for telemetry with lanes")
+	if _, err := RunObservedContext(context.Background(), cfg, Predictive, setups, telemetry.New()); err == nil {
+		t.Error("no error for a sink with lanes")
 	}
 
 	cfg = laneTestConfigDefaultChaos(2, 0)

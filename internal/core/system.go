@@ -16,7 +16,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/task"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -29,8 +28,12 @@ type system struct {
 	seg       *network.Segment
 	rng       *rand.Rand
 	collector *metrics.Collector
-	log       *trace.Log
-	tel       *telemetry.Recorder // nil when telemetry is disabled
+	sink      Sink // nil for an unobserved run
+
+	// records and events are the run result's period records and
+	// adaptation actions, in completion and action order.
+	records []*task.PeriodRecord
+	events  []trace.AdaptationEvent
 
 	sysMeters []*cpu.Meter
 	netMeter  *network.Meter
@@ -167,9 +170,9 @@ func RunContext(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSet
 }
 
 // runContext is the shared body of RunContext and RunObservedContext.
-// obs, when non-nil, has been validated by the caller; nil keeps every
+// sink, when non-nil, has been validated by the caller; nil keeps every
 // code path byte-identical to the unobserved build.
-func runContext(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSetup, obs *Observer) (Result, error) {
+func runContext(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSetup, sink Sink) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -186,7 +189,7 @@ func runContext(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSet
 		// Lane-partitioned topology: sharded engines behind the epoch
 		// barrier (see lanes.go). Lanes ≤ 1 keeps the exact
 		// single-threaded path below.
-		return runLanes(ctx, cfg, alg, setups)
+		return runLanes(ctx, cfg, alg, setups, sink)
 	}
 	// Compile the stochastic chaos processes into the concrete fault and
 	// partition schedule before anything is built. With chaos disabled
@@ -209,15 +212,16 @@ func runContext(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSet
 			cfg.Network.Partitions = wins
 		}
 	}
-	s, err := buildSystem(cfg, alg, setups, sim.NewEngine(), faults)
+	s, err := buildSystem(cfg, alg, setups, sim.NewEngine(), faults, sink)
 	if err != nil {
 		return Result{}, err
 	}
-	if obs != nil {
+	sampled := sink != nil && sink.SampleEvery() > 0
+	if sampled {
 		// After the rest of construction, so every event the build
 		// scheduled or reserved keeps its engine sequence number (see
-		// scheduleObservations).
-		s.scheduleObservations(obs, patternHorizon(setups))
+		// scheduleSamples).
+		s.scheduleSamples(ctx, sink.SampleEvery(), patternHorizon(setups))
 	}
 
 	// Run to quiescence: all instances drain once period starts stop.
@@ -238,25 +242,29 @@ func runContext(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSet
 				return Result{}, err
 			}
 		}
+		if s.eng.Stopped() {
+			// A sample saw the context done (see scheduleSamples).
+			return Result{}, ctx.Err()
+		}
 	}
 	res := s.finish()
-	if obs != nil {
-		final := s.captureObservation()
+	if sampled {
+		final := s.captureSample()
 		final.Final = true
 		final.Metrics = res.Metrics
-		obs.OnSample(final)
+		sink.Emit(trace.Event{Kind: trace.KindSample, At: s.eng.Now(), Sample: final})
 	}
 	return res, nil
 }
 
 // buildSystem assembles one simulated segment on the given engine:
-// processors, meters, telemetry observers, the fault schedule, runtime
+// processors, meters, the sink's job observers, the fault schedule, runtime
 // tasks, and one periodic period-start source per task (its sequence
 // numbers reserved up front).
 // The caller has validated cfg/alg/setups and resolved the concrete
 // fault schedule. Construction order is load-bearing: it fixes the
 // engine's event sequence numbers, and therefore the run.
-func buildSystem(cfg Config, alg Algorithm, setups []TaskSetup, eng *sim.Engine, faults []Fault) (*system, error) {
+func buildSystem(cfg Config, alg Algorithm, setups []TaskSetup, eng *sim.Engine, faults []Fault, sink Sink) (*system, error) {
 	if cfg.Network.LossSeed == 0 {
 		// Loss draws derive from the run seed unless the caller pinned a
 		// separate stream; irrelevant (no RNG exists) on a reliable segment.
@@ -269,8 +277,7 @@ func buildSystem(cfg Config, alg Algorithm, setups []TaskSetup, eng *sim.Engine,
 		seg:       nil,
 		rng:       sim.NewRand(cfg.Seed, 0x5eed),
 		collector: metrics.NewCollector(float64(cfg.NumNodes)),
-		log:       trace.NewLog(),
-		tel:       cfg.Telemetry,
+		sink:      sink,
 	}
 	s.seg = network.NewSegment(s.eng, cfg.Network)
 	s.procs = make([]cpu.Scheduler, 0, cfg.NumNodes)
@@ -280,13 +287,14 @@ func buildSystem(cfg Config, alg Algorithm, setups []TaskSetup, eng *sim.Engine,
 		s.sysMeters = append(s.sysMeters, cpu.NewMeter(s.eng, s.procs[i]))
 	}
 	s.netMeter = network.NewMeter(s.seg)
-	if s.tel.Enabled() {
+	if sink != nil {
 		// Queue-wait coverage for every job on every node comes from the
-		// scheduler-level observer; task-scoped exec spans are recorded at
+		// scheduler-level observer; task-scoped exec spans are emitted at
 		// the facade's own completion callbacks, which carry the context.
 		for _, p := range s.procs {
 			p.SetObserver(func(procID int, j *cpu.Job) {
-				s.tel.RecordJobWait(procID, j.StartedAt-j.SubmittedAt)
+				sink.Emit(trace.Event{Kind: trace.KindJobWait, At: s.eng.Now(), Proc: int32(procID),
+					Start: j.SubmittedAt, Mid: j.StartedAt})
 			})
 		}
 	}
@@ -328,8 +336,8 @@ func (s *system) finish() Result {
 	s.collector.CountDropped(int(s.seg.Dropped()))
 	return Result{
 		Metrics:     s.collector.Finish(),
-		Records:     s.log.Records(),
-		Events:      s.log.Events(),
+		Records:     s.records,
+		Events:      s.events,
 		EventsFired: s.eng.EventsFired(),
 	}
 }
@@ -366,12 +374,10 @@ func (s *system) failNode(n int) {
 	s.collector.CountCrash()
 	s.openCrashes = append(s.openCrashes, s.eng.Now())
 	s.procs[n].Fail()
-	s.log.Adaptation(trace.AdaptationEvent{
-		At: s.eng.Now(), Period: int(s.eng.Now() / sim.Second), Task: "-",
+	s.adaptation(trace.AdaptationEvent{
+		Period: int(s.eng.Now() / sim.Second), Task: "-",
 		Stage: -1, Kind: trace.ActionNodeDown, Procs: []int{n},
-	})
-	s.tel.RecordAdaptation(s.eng.Now(), "-", -1, int(s.eng.Now()/sim.Second),
-		string(trace.ActionNodeDown), int64(n))
+	}, int64(n))
 }
 
 // recoverNode brings a crashed node back empty.
@@ -385,12 +391,10 @@ func (s *system) recoverNode(n int) {
 	s.lastTransition = s.eng.Now()
 	s.collector.CountRecovery()
 	s.procs[n].Recover()
-	s.log.Adaptation(trace.AdaptationEvent{
-		At: s.eng.Now(), Period: int(s.eng.Now() / sim.Second), Task: "-",
+	s.adaptation(trace.AdaptationEvent{
+		Period: int(s.eng.Now() / sim.Second), Task: "-",
 		Stage: -1, Kind: trace.ActionNodeUp, Procs: []int{n},
-	})
-	s.tel.RecordAdaptation(s.eng.Now(), "-", -1, int(s.eng.Now()/sim.Second),
-		string(trace.ActionNodeUp), int64(n))
+	}, int64(n))
 }
 
 // repairPlacements is the fail-over step run at each monitoring cycle:
@@ -405,12 +409,10 @@ func (s *system) repairPlacements(rt *runtimeTask, c int) {
 			}
 			if rt.dep.RemoveProcessor(stage, proc) {
 				s.collector.CountShutdown()
-				s.log.Adaptation(trace.AdaptationEvent{
-					At: s.eng.Now(), Period: c, Task: rt.setup.Spec.Name, Stage: stage,
+				s.adaptation(trace.AdaptationEvent{
+					Period: c, Task: rt.setup.Spec.Name, Stage: stage,
 					Kind: trace.ActionFailover, Procs: []int{proc},
-				})
-				s.tel.RecordAdaptation(s.eng.Now(), rt.setup.Spec.Name, stage, c,
-					string(trace.ActionFailover), int64(proc))
+				}, int64(proc))
 				continue
 			}
 			// Sole replica: relocate to the least-utilized live node
@@ -428,12 +430,10 @@ func (s *system) repairPlacements(rt *runtimeTask, c int) {
 				continue // no live node available; the stage stays dark
 			}
 			if err := rt.dep.ReplaceProcessor(stage, proc, best); err == nil {
-				s.log.Adaptation(trace.AdaptationEvent{
-					At: s.eng.Now(), Period: c, Task: rt.setup.Spec.Name, Stage: stage,
+				s.adaptation(trace.AdaptationEvent{
+					Period: c, Task: rt.setup.Spec.Name, Stage: stage,
 					Kind: trace.ActionFailover, Procs: []int{proc, best},
-				})
-				s.tel.RecordAdaptation(s.eng.Now(), rt.setup.Spec.Name, stage, c,
-					string(trace.ActionFailover), int64(best))
+				}, int64(best))
 			}
 		}
 	}
@@ -471,13 +471,13 @@ func (s *system) newRuntimeTask(setup TaskSetup) (*runtimeTask, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p, ok := alloc.(*manager.Predictive); ok && s.tel.Enabled() {
-		// Count Figure 5 forecast evaluations per stage: the probe fires
-		// once per replica per forecastOK pass, so the counter reflects
+	if p, ok := alloc.(*manager.Predictive); ok && s.sink != nil {
+		// Emit every Figure 5 forecast evaluation: the probe fires once
+		// per replica per forecastOK pass, so a per-stage count reflects
 		// how much model work each adaptation decision cost.
 		name := setup.Spec.Name
 		p.Probe = func(stage, share int, u float64, predicted sim.Time) {
-			s.tel.RecordForecastEval(name, stage)
+			s.sink.Emit(trace.Event{Kind: trace.KindForecastEval, At: s.eng.Now(), Task: name, Stage: int32(stage)})
 		}
 	}
 	if seeder, ok := pol.(policy.DeploymentSeeder); ok {
@@ -520,7 +520,7 @@ func (s *system) newRuntimeTask(setup TaskSetup) (*runtimeTask, error) {
 // replica counts, observed utilizations and workload estimates.
 // estimateChain returns the chain estimates in scratch buffers owned by
 // rt: the result is only valid until the next estimateChain call, and
-// callers (AssignEQF, the telemetry Predict loop) must not retain it.
+// callers (AssignEQF, the launch-time forecast emit) must not retain it.
 func (rt *runtimeTask) estimateChain(s *system, items, totalItems int) deadline.Chain {
 	n := len(rt.setup.Spec.Subtasks)
 	if cap(rt.chainExec) < n {
@@ -652,12 +652,9 @@ func (s *system) runPeriod(rt *runtimeTask, c int) {
 		if dec.Skip {
 			skip = true
 			s.collector.CountStretchedPeriod()
-			s.log.Adaptation(trace.AdaptationEvent{
-				At: s.eng.Now(), Period: c, Task: rt.setup.Spec.Name, Stage: -1,
-				Kind: trace.ActionStretch,
-			})
-			s.tel.RecordAdaptation(s.eng.Now(), rt.setup.Spec.Name, -1, c,
-				string(trace.ActionStretch), 1)
+			s.adaptation(trace.AdaptationEvent{
+				Period: c, Task: rt.setup.Spec.Name, Stage: -1, Kind: trace.ActionStretch,
+			}, 1)
 		} else {
 			launchItems = dec.LaunchItems
 			if launchItems > items {
@@ -668,12 +665,9 @@ func (s *system) runPeriod(rt *runtimeTask, c int) {
 			}
 			if shed := items - launchItems; shed > 0 {
 				s.collector.CountShedItems(shed)
-				s.log.Adaptation(trace.AdaptationEvent{
-					At: s.eng.Now(), Period: c, Task: rt.setup.Spec.Name, Stage: -1,
-					Kind: trace.ActionShed,
-				})
-				s.tel.RecordAdaptation(s.eng.Now(), rt.setup.Spec.Name, -1, c,
-					string(trace.ActionShed), int64(shed))
+				s.adaptation(trace.AdaptationEvent{
+					Period: c, Task: rt.setup.Spec.Name, Stage: -1, Kind: trace.ActionShed,
+				}, int64(shed))
 			}
 		}
 	}
@@ -700,14 +694,18 @@ func (s *system) runPeriod(rt *runtimeTask, c int) {
 		for i, m := range s.sysMeters {
 			u := clamp01(m.Sample())
 			cpuSum += u
-			s.tel.SetProcUtil(i, u)
+			if s.sink != nil {
+				s.sink.Emit(trace.Event{Kind: trace.KindProcUtil, At: s.eng.Now(), Proc: int32(i), Util: u})
+			}
 		}
 		var reps float64
 		for _, t := range s.tasks {
 			reps += t.dep.MeanReplicasOfReplicable()
 		}
 		netU := clamp01(s.netMeter.Sample())
-		s.tel.SetNetUtil(netU)
+		if s.sink != nil {
+			s.sink.Emit(trace.Event{Kind: trace.KindNetUtil, At: s.eng.Now(), Util: netU})
+		}
 		s.collector.ObservePeriodStart(
 			cpuSum/float64(len(s.sysMeters)),
 			netU,
@@ -760,21 +758,16 @@ func (s *system) adapt(rt *runtimeTask, c, items int, analysis monitor.Analysis)
 		if added > 0 {
 			changed = true
 			s.collector.CountReplications(added)
-			s.log.Adaptation(trace.AdaptationEvent{
-				At: s.eng.Now(), Period: c, Task: rt.setup.Spec.Name, Stage: stage,
+			s.adaptation(trace.AdaptationEvent{
+				Period: c, Task: rt.setup.Spec.Name, Stage: stage,
 				Kind: trace.ActionReplicate, Procs: newProcs(before, rt.dep.Replicas(stage)),
-			})
-			s.tel.RecordAdaptation(s.eng.Now(), rt.setup.Spec.Name, stage, c,
-				string(trace.ActionReplicate), int64(added))
+			}, int64(added))
 		}
 		if !ok {
 			s.collector.CountAllocFailure()
-			s.log.Adaptation(trace.AdaptationEvent{
-				At: s.eng.Now(), Period: c, Task: rt.setup.Spec.Name, Stage: stage,
-				Kind: trace.ActionAllocFailure,
-			})
-			s.tel.RecordAdaptation(s.eng.Now(), rt.setup.Spec.Name, stage, c,
-				string(trace.ActionAllocFailure), 0)
+			s.adaptation(trace.AdaptationEvent{
+				Period: c, Task: rt.setup.Spec.Name, Stage: stage, Kind: trace.ActionAllocFailure,
+			}, 0)
 		}
 	}
 	for _, stage := range analysis.Shutdown {
@@ -785,12 +778,10 @@ func (s *system) adapt(rt *runtimeTask, c, items int, analysis monitor.Analysis)
 		if proc, ok := manager.ShutDownAReplica(rt.dep, stage); ok {
 			changed = true
 			s.collector.CountShutdown()
-			s.log.Adaptation(trace.AdaptationEvent{
-				At: s.eng.Now(), Period: c, Task: rt.setup.Spec.Name, Stage: stage,
+			s.adaptation(trace.AdaptationEvent{
+				Period: c, Task: rt.setup.Spec.Name, Stage: stage,
 				Kind: trace.ActionShutdown, Procs: []int{proc},
-			})
-			s.tel.RecordAdaptation(s.eng.Now(), rt.setup.Spec.Name, stage, c,
-				string(trace.ActionShutdown), int64(proc))
+			}, int64(proc))
 		}
 	}
 	if changed {

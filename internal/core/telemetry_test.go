@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,23 +12,32 @@ import (
 	"repro/internal/workload"
 )
 
-// runWithTelemetry drives the benchmark task with a recorder attached.
+// runWithTelemetry drives the benchmark task with a recorder as the
+// run's sink.
 func runWithTelemetry(t *testing.T, alg Algorithm, pattern workload.Pattern) *telemetry.Recorder {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Telemetry = telemetry.New(telemetry.DefaultConfig())
-	if _, err := Run(cfg, alg, []TaskSetup{benchSetup(pattern)}); err != nil {
+	rec := telemetry.New()
+	if _, err := RunObservedContext(context.Background(), DefaultConfig(), alg, []TaskSetup{benchSetup(pattern)}, rec); err != nil {
 		t.Fatal(err)
 	}
-	return cfg.Telemetry
+	return rec
 }
 
+// TestTelemetryDisabledByDefault: Run observes nothing, and the observed
+// entry point with a nil sink is that same unobserved run, down to the
+// engine event count.
 func TestTelemetryDisabledByDefault(t *testing.T) {
-	// The zero Config carries no recorder; a run without one must behave
-	// identically to the seed behaviour (covered by the rest of the suite)
-	// and never touch telemetry. This just pins the nil default.
-	if DefaultConfig().Telemetry.Enabled() {
-		t.Error("DefaultConfig carries an enabled recorder")
+	pattern := workload.NewTriangular(500, 9000, 30, 2)
+	plain, err := Run(DefaultConfig(), Predictive, []TaskSetup{benchSetup(pattern)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nilSink, err := RunObservedContext(context.Background(), DefaultConfig(), Predictive, []TaskSetup{benchSetup(pattern)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, nilSink) {
+		t.Errorf("nil-sink run differs from Run: events fired %d vs %d", nilSink.EventsFired, plain.EventsFired)
 	}
 }
 
@@ -148,13 +159,12 @@ func TestTelemetryRunIdenticalResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Telemetry = telemetry.New(telemetry.DefaultConfig())
-	instrumented, err := Run(cfg, Predictive, []TaskSetup{benchSetup(pattern)})
+	instrumented, err := RunObservedContext(context.Background(), DefaultConfig(), Predictive,
+		[]TaskSetup{benchSetup(pattern)}, telemetry.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Metrics != instrumented.Metrics {
+	if plain.Metrics != instrumented.Metrics || plain.EventsFired != instrumented.EventsFired {
 		t.Errorf("telemetry changed run results:\nplain        %+v\ninstrumented %+v",
 			plain.Metrics, instrumented.Metrics)
 	}

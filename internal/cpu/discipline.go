@@ -33,8 +33,8 @@ func (d Discipline) String() string {
 }
 
 // JobObserver sees every job the moment it completes, with its
-// SubmittedAt/StartedAt/CompletedAt timestamps final. Telemetry hooks in
-// here so queue-wait and service-time accounting cover all work on the
+// SubmittedAt/StartedAt/CompletedAt timestamps final. Core's observation
+// stream hooks in here so queue-wait accounting covers all work on the
 // node — including background load — not just the jobs the facade
 // submits. It runs before the job's own OnComplete callback.
 type JobObserver func(procID int, j *Job)

@@ -40,9 +40,8 @@ var demandProbeSizes = [...]int{100, 1700, 4900}
 
 // runFingerprint content-addresses one simulation run: the SHA-256 of a
 // canonical description of everything that determines its result — the
-// schema version, the algorithm, the full config (seed included, the
-// telemetry recorder excluded: it observes a run, it does not shape one)
-// and, per task, the spec identity, demand-curve probes, placement,
+// schema version, the algorithm, the full config (seed included) and,
+// per task, the spec identity, demand-curve probes, placement,
 // workload pattern, and fitted regression models. The hex digest doubles
 // as the scheduler's dedup key and the disk cache's file name.
 // RunKey exposes the run fingerprint: the rmserved daemon stamps it on
@@ -55,7 +54,6 @@ func RunKey(cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) string
 
 func runFingerprint(cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) string {
 	var b strings.Builder
-	cfg.Telemetry = nil
 	// The lane *partition* shapes results (Lanes stays in the %#v dump);
 	// the worker count driving the lanes does not — serial and parallel
 	// drivers are byte-identical by construction — so Parallel must not

@@ -70,7 +70,7 @@ func SweepFactory(name string) (PatternFactory, error) {
 // MaterializeRun and accepted only when it fingerprints to the same cell
 // as the original — byte-equivalent semantics, verified, not assumed.
 func EncodeRunRequest(cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) (api.RunRequest, bool) {
-	if cfg.Telemetry != nil || len(setups) != 1 || setups[0].Homes != nil {
+	if len(setups) != 1 || setups[0].Homes != nil {
 		return api.RunRequest{}, false
 	}
 	pattern, ok := api.PatternFromWorkload(setups[0].Pattern)

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -218,13 +217,8 @@ func (s *Scheduler) Stats() SchedulerCounters {
 // result is available or ctx is done. Identical runs — same config,
 // algorithm and setups by content — execute once and share the outcome.
 // When ctx is done the caller unblocks with ctx.Err(), and the cell is
-// cancelled once every requester has abandoned it. cfg.Telemetry must be
-// nil: an attached recorder is a per-run side effect that neither dedup
-// nor the cache can replay.
+// cancelled once every requester has abandoned it.
 func (s *Scheduler) Run(ctx context.Context, cfg core.Config, alg core.Algorithm, setups []core.TaskSetup) (RunOutcome, error) {
-	if cfg.Telemetry != nil {
-		return RunOutcome{}, fmt.Errorf("experiment: scheduled runs cannot carry a telemetry recorder")
-	}
 	return s.submit(cfg, alg, setups).waitCtx(ctx, s)
 }
 

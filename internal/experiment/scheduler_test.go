@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/telemetry"
 )
 
 // TestSchedulerSharesRunsAcrossExperiments drives three experiments with
@@ -79,20 +78,6 @@ func TestSchedulerDedupsOverlappingSweeps(t *testing.T) {
 	}
 	if both.Simulated != 16 {
 		t.Errorf("both sweeps simulated %d, want 16 (the warm one point 12 only)", both.Simulated)
-	}
-}
-
-// TestScheduledRunRejectsTelemetry pins the scheduler's one exclusion: a
-// run carrying a live recorder cannot be deduplicated or cache-served.
-func TestScheduledRunRejectsTelemetry(t *testing.T) {
-	setup, err := BenchmarkSetup(TriangularFactory(4 * WorkloadUnit))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Telemetry = telemetry.New(telemetry.DefaultConfig())
-	if _, err := NewScheduler(1).Run(context.Background(), cfg, core.Predictive, []core.TaskSetup{setup}); err == nil {
-		t.Error("telemetry-carrying run accepted by the scheduler")
 	}
 }
 

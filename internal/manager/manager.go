@@ -132,8 +132,9 @@ type Predictive struct {
 	Comm regress.CommModel
 	// Probe, when non-nil, observes every single-replica forecast the
 	// allocator evaluates (Figure 5 step 6 and the shutdown guard).
-	// Telemetry uses it to count model evaluations per stage; it must not
-	// mutate allocator state.
+	// Core emits each evaluation on its observation stream, where the
+	// telemetry recorder counts them per stage; it must not mutate
+	// allocator state.
 	Probe func(stage, share int, u float64, predicted sim.Time)
 }
 

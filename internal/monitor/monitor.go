@@ -118,43 +118,6 @@ func (m *Monitor) SetAssignment(a deadline.Assignment) {
 // SubtaskDeadline returns dl(st) for the stage.
 func (m *Monitor) SubtaskDeadline(stage int) sim.Time { return m.assignment.Subtask[stage] }
 
-// StageSlack is one stage's observed latency measured against its
-// EQF-assigned individual deadline.
-type StageSlack struct {
-	Stage    int
-	Latency  sim.Time // observed exec latency this period (unsmoothed)
-	Deadline sim.Time // dl(st) in force when the period completed
-	// Ratio is (Deadline − Latency)/Deadline: 1 means the stage finished
-	// instantly, 0 means it finished exactly at its deadline, negative
-	// means it overran.
-	Ratio float64
-}
-
-// StageSlacks measures every stage of a completed record against the
-// current assignment, without mutating the smoothing windows. It is the
-// read-only companion to Analyze, for telemetry and reporting.
-func (m *Monitor) StageSlacks(rec *task.PeriodRecord) []StageSlack {
-	if rec == nil {
-		return nil
-	}
-	if len(rec.Stages) != len(m.spec.Subtasks) {
-		panic(fmt.Sprintf("monitor: record has %d stages, task has %d",
-			len(rec.Stages), len(m.spec.Subtasks)))
-	}
-	out := make([]StageSlack, len(rec.Stages))
-	for i := range rec.Stages {
-		lat := rec.Stages[i].ExecLatency()
-		dl := m.assignment.Subtask[i]
-		out[i] = StageSlack{
-			Stage:    i,
-			Latency:  lat,
-			Deadline: dl,
-			Ratio:    float64(dl-lat) / float64(dl),
-		}
-	}
-	return out
-}
-
 // AnalyzeAt is Analyze with a staleness gate: a record completed more
 // than StalenessWindow before now is discarded (analyzed as nil) instead
 // of steering adaptation with obsolete observations. With a zero window

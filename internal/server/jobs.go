@@ -158,15 +158,14 @@ func (s *Server) execute(j *job) {
 			j.attempts++
 			attempt = j.attempts
 		})
-		s.journalMark(j, "start")
+		s.journalMark(journalRecord{Type: "start", Job: j.id, MS: s.now().UnixMilli()})
 		log.Info("job running", "kind", j.kind, "attempt", attempt)
 
 		start := s.now()
 		err := s.runAttempt(j)
 		s.observeRun(s.now().Sub(start))
 		if err == nil {
-			j.transition(api.JobDone, func(j *job) { j.finished = s.now() })
-			s.journalMark(j, "finish")
+			s.finish(j, api.JobDone, "")
 			log.Info("job finished", "state", api.JobDone, "attempts", attempt)
 			return
 		}
@@ -178,11 +177,7 @@ func (s *Server) execute(j *job) {
 			log.Error("job worker panicked", "kind", j.kind, "panic", fmt.Sprint(p.Value), "stack", string(p.Stack))
 		}
 		if j.ctx.Err() != nil {
-			j.transition(api.JobCancelled, func(j *job) {
-				j.errMsg = err.Error()
-				j.finished = s.now()
-			})
-			s.journalMark(j, "finish")
+			s.finish(j, api.JobCancelled, err.Error())
 			log.Info("job finished", "state", api.JobCancelled, "error", err.Error())
 			return
 		}
@@ -196,19 +191,11 @@ func (s *Server) execute(j *job) {
 			}
 			// Cancelled mid-backoff: resolve immediately rather than
 			// burning a worker slot on an attempt doomed by a dead context.
-			j.transition(api.JobCancelled, func(j *job) {
-				j.errMsg = j.ctx.Err().Error()
-				j.finished = s.now()
-			})
-			s.journalMark(j, "finish")
+			s.finish(j, api.JobCancelled, j.ctx.Err().Error())
 			log.Info("job finished", "state", api.JobCancelled)
 			return
 		}
-		j.transition(api.JobFailed, func(j *job) {
-			j.errMsg = err.Error()
-			j.finished = s.now()
-		})
-		s.journalMark(j, "finish")
+		s.finish(j, api.JobFailed, err.Error())
 		log.Info("job finished", "state", api.JobFailed, "attempts", attempt, "error", err.Error())
 		return
 	}

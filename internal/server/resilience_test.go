@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -53,13 +54,16 @@ func seedHook(srv *server.Server, seed uint64, fn func(calls int) error) *int {
 	return &calls
 }
 
-// holdRuns blocks every simulation on srv's scheduler until the test
-// ends, so a job stays running for exactly as long as the test needs,
-// however fast the engine is.
-func holdRuns(t *testing.T, srv *server.Server) {
-	release := make(chan struct{})
-	srv.Scheduler().OnSimulate(func(core.Config, core.Algorithm) error { <-release; return nil })
-	t.Cleanup(func() { close(release) })
+// holdRuns blocks every simulation on srv's scheduler until the
+// returned release is called or the test ends, so a job stays running
+// for exactly as long as the test needs, however fast the engine is.
+func holdRuns(t *testing.T, srv *server.Server) (release func()) {
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	srv.Scheduler().OnSimulate(func(core.Config, core.Algorithm) error { <-gate; return nil })
+	t.Cleanup(release)
+	return release
 }
 
 // TestJournalWriteFailureAtSubmit: when the submit record cannot be made
@@ -213,6 +217,51 @@ func TestRestartRestoresTerminalFailure(t *testing.T) {
 	if *calls != 1 || st.Scheduler.Requested != 0 {
 		t.Errorf("replay re-executed a deterministic failure: %d sim calls before the restart (want 1), %d runs requested after it (want 0)",
 			*calls, st.Scheduler.Requested)
+	}
+}
+
+// TestCancelledWhileQueuedSurvivesRestart: a job cancelled before it
+// ever reached a worker is journaled as cancelled, so a restart on the
+// same data dir keeps it cancelled and never runs it.
+func TestCancelledWhileQueuedSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	srv1, cl1 := newTestServer(t, server.Options{DataDir: dir, Workers: 1})
+	holdRuns(t, srv1)
+	ctx := context.Background()
+	first, err := cl1.SubmitRun(ctx, runReq(0x5e4010, []int{500, 700}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForState(t, cl1, first.ID, api.JobRunning)
+	queued, err := cl1.SubmitRun(ctx, runReq(0x5e4011, []int{500, 700}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if queued.State != api.JobQueued {
+		t.Fatalf("second job %q behind a held worker, want queued", queued.State)
+	}
+	// Cancel both: the queued one through the queue's fast path, the
+	// running one so that the restart has nothing left to replay.
+	for _, id := range []string{queued.ID, first.ID} {
+		if j, err := cl1.Cancel(ctx, id); err != nil || j.State != api.JobCancelled {
+			t.Fatalf("DELETE %s = %+v, %v; want cancelled", id, j, err)
+		}
+	}
+
+	_, cl2 := newTestServer(t, server.Options{DataDir: dir})
+	got, err := cl2.Job(ctx, queued.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != api.JobCancelled || got.Attempts != 0 {
+		t.Errorf("restored queued-cancelled job = %q after %d attempts, want cancelled after 0", got.State, got.Attempts)
+	}
+	st, err := cl2.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Scheduler.Requested != 0 {
+		t.Errorf("restarted daemon requested %d runs, want 0: a cancelled job was replayed", st.Scheduler.Requested)
 	}
 }
 
@@ -559,6 +608,44 @@ func TestOversizeBodyRejected(t *testing.T) {
 			t.Errorf("POST %s with %d bytes = %d %s, want 413 %s", path, len(body), resp.StatusCode, msg, api.CodeRequestTooLarge)
 		}
 	}
+	assertNothingAdmitted(t, base, cl, dir)
+}
+
+// TestTrailingBytesRejected: a body holding a valid request followed by
+// anything but whitespace gets 400 bad_request on every decoding
+// endpoint, and nothing is admitted.
+func TestTrailingBytesRejected(t *testing.T) {
+	dir := t.TempDir()
+	_, base, cl := newFaultServer(t, server.Options{DataDir: dir})
+	sweep := api.SweepRequest{SchemaVersion: api.SchemaVersion, Pattern: api.SweepTriangular, Points: []int{1}}
+	for _, tc := range []struct {
+		path  string
+		valid any
+	}{
+		{"/v1/runs", runReq(0x5e4012, []int{500})},
+		{"/v1/sweeps", sweep},
+		{"/v1/sessions", sessReq(2)},
+	} {
+		for _, trailer := range []string{`{"algorithm":"oracle"}`, ` trailing garbage`, `[]`} {
+			body := mustJSON(t, tc.valid) + trailer
+			resp, err := http.Post(base+tc.path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), api.CodeBadRequest) {
+				t.Errorf("POST %s with trailer %q = %d %s, want 400 %s", tc.path, trailer, resp.StatusCode, msg, api.CodeBadRequest)
+			}
+		}
+	}
+	assertNothingAdmitted(t, base, cl, dir)
+}
+
+// assertNothingAdmitted checks that the daemon holds no job and no
+// session and has journaled nothing.
+func assertNothingAdmitted(t *testing.T, base string, cl *client.Client, dir string) {
+	t.Helper()
 	jobs, err := cl.Jobs(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -574,9 +661,9 @@ func TestOversizeBodyRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(jobs) != 0 || len(sessions) != 0 {
-		t.Errorf("oversize bodies admitted %d jobs and %d sessions, want none", len(jobs), len(sessions))
+		t.Errorf("rejected bodies admitted %d jobs and %d sessions, want none", len(jobs), len(sessions))
 	}
 	if wal, err := os.ReadFile(filepath.Join(dir, "journal.wal")); err != nil || len(wal) != 0 {
-		t.Errorf("journal after oversize bodies: %d bytes (%v), want an empty journal", len(wal), err)
+		t.Errorf("journal after rejected bodies: %d bytes (%v), want an empty journal", len(wal), err)
 	}
 }

@@ -46,6 +46,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -382,11 +383,20 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 // maxRequestBody bounds every JSON request body the daemon decodes.
 const maxRequestBody = 1 << 20
 
-// decodeRequest decodes r's JSON body into v. When it cannot, it writes
+// decodeRequest decodes r's JSON body — exactly one JSON value, with
+// nothing but whitespace after it — into v. When it cannot, it writes
 // the error envelope — 413 past maxRequestBody, 400 otherwise — and
 // returns false.
 func decodeRequest(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	err := dec.Decode(v)
+	if err == nil {
+		if extra := dec.Decode(&json.RawMessage{}); extra == nil {
+			err = errors.New("trailing data after the JSON value")
+		} else if extra != io.EOF {
+			err = extra
+		}
+	}
 	var tooLarge *http.MaxBytesError
 	switch {
 	case err == nil:
@@ -475,24 +485,33 @@ func retryAfterSeconds(queued, workers int, avgRun time.Duration) int {
 	return secs
 }
 
-// journalMark appends a start or finish record for j. Best effort by
-// design: the submit record is the durability contract (the job exists),
-// while a lost mark merely re-runs idempotent work after a crash.
-func (s *Server) journalMark(j *job, typ string) {
+// journalMark appends a start or finish record. Best effort by design:
+// the submit record is the durability contract (the job exists), while a
+// lost mark merely re-runs idempotent work after a crash.
+func (s *Server) journalMark(rec journalRecord) {
 	if s.journal == nil {
 		return
 	}
-	snap := j.snapshot()
-	rec := journalRecord{Type: typ, Job: j.id, MS: s.now().UnixMilli()}
-	if typ == "finish" {
-		rec.State = snap.State
-		rec.Error = snap.Error
-		rec.Attempts = snap.Attempts
-	}
 	if err := s.journal.append(rec); err != nil {
-		s.counter("rmserved_journal_errors_total", telemetry.Label{Key: "type", Value: typ})
-		s.log.Warn("journal append failed", "job", j.id, "type", typ, "error", err.Error())
+		s.counter("rmserved_journal_errors_total", telemetry.Label{Key: "type", Value: rec.Type})
+		s.log.Warn("journal append failed", "job", rec.Job, "type", rec.Type, "error", err.Error())
 	}
+}
+
+// finish moves j to a terminal state. The finish record is journaled
+// first, so a client that has seen the state can rely on a restart
+// keeping it: a cancelled or failed job is never replayed and re-run.
+func (s *Server) finish(j *job, state, errMsg string) {
+	now := s.now()
+	j.mu.Lock()
+	attempts := j.attempts
+	j.mu.Unlock()
+	s.journalMark(journalRecord{Type: "finish", Job: j.id, MS: now.UnixMilli(),
+		State: state, Error: errMsg, Attempts: attempts})
+	j.transition(state, func(j *job) {
+		j.errMsg = errMsg
+		j.finished = now
+	})
 }
 
 // journalSubmit durably records an accepted job before the client sees
@@ -543,10 +562,7 @@ func (s *Server) enqueue(j *job) {
 		case s.slots <- struct{}{}:
 		case <-j.ctx.Done():
 			s.dequeued()
-			j.transition(api.JobCancelled, func(j *job) {
-				j.errMsg = j.ctx.Err().Error()
-				j.finished = s.now()
-			})
+			s.finish(j, api.JobCancelled, j.ctx.Err().Error())
 			s.counter("rmserved_jobs_finished_total", telemetry.Label{Key: "state", Value: api.JobCancelled})
 			return
 		}

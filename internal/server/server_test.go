@@ -174,20 +174,19 @@ func TestDedupConcurrentIdenticalSubmissions(t *testing.T) {
 	}
 }
 
-// TestCancelMidRun: DELETE on a running job cancels the underlying
-// simulation and reports the cancelled terminal state. The run is
-// 500,000 periods long, so the engine is interrupted mid-run.
+// TestCancelMidRun: DELETE on a running job reports the cancelled
+// terminal state at once, and the scheduler abandons the run's cell. A
+// sim hook holds the worker inside the run until after the DELETE, so
+// the outcome does not depend on how long the simulation takes.
 func TestCancelMidRun(t *testing.T) {
-	_, cl := newTestServer(t, server.Options{})
-	req := runReq(770003, nil)
-	req.Task.Pattern = api.Pattern{Kind: api.PatternConstant, Value: 9000, Periods: 500_000}
-	j, err := cl.SubmitRun(context.Background(), req)
+	srv, cl := newTestServer(t, server.Options{})
+	release := holdRuns(t, srv)
+	j, err := cl.SubmitRun(context.Background(), runReq(770003, []int{500, 700}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitForState(t, cl, j.ID, api.JobRunning)
 
-	start := time.Now()
 	j, err = cl.Cancel(context.Background(), j.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -195,12 +194,10 @@ func TestCancelMidRun(t *testing.T) {
 	if j.State != api.JobCancelled {
 		t.Fatalf("after DELETE, job state %q, want %q", j.State, api.JobCancelled)
 	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("cancellation took %v; the engine should notice within a few thousand events", elapsed)
-	}
+	release()
 
-	// The scheduler counts the abandoned cell once its worker observes
-	// the cancellation; allow a moment for the counter to settle.
+	// The scheduler counts the abandoned cell once its released worker
+	// sees the cancelled context; poll for the counter to settle.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		after, err := cl.Stats(context.Background())

@@ -9,13 +9,15 @@ import (
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Session is one live simulation run fanning its state stream out
 // through a Hub. The run executes on its own goroutine via
-// core.RunObservedContext; pacing and the pause gate live inside the
-// observation callback, so they slow the simulation itself — the stream
-// is never a lossy window onto a run that raced ahead.
+// core.RunObservedContext with the session as its core.Sink; pacing
+// and the pause gate live inside the sample handler, so they slow the
+// simulation itself — the stream is never a lossy window onto a run
+// that raced ahead.
 type Session struct {
 	// ID is the session's wire identifier (sess-N).
 	ID string
@@ -42,7 +44,7 @@ type Session struct {
 	createdMS  int64
 	finishedMS int64
 	// gate is non-nil while paused; Resume closes it to release the
-	// simulation goroutine blocked in onSample.
+	// simulation goroutine blocked in Emit.
 	gate chan struct{}
 
 	// nextSample is the pacing deadline; touched only on the simulation
@@ -55,8 +57,7 @@ type Session struct {
 func (s *Session) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer close(s.done)
-	obs := &core.Observer{Every: s.every, OnSample: s.onSample}
-	_, err := core.RunObservedContext(s.ctx, s.cfg, s.alg, s.setups, obs)
+	_, err := core.RunObservedContext(s.ctx, s.cfg, s.alg, s.setups, s)
 	s.mu.Lock()
 	switch {
 	case err == nil:
@@ -73,11 +74,18 @@ func (s *Session) run(wg *sync.WaitGroup) {
 	s.hub.Close(stamp)
 }
 
-// onSample is the observation hook: pace, honor a pause, publish.
-// It runs on the simulation goroutine, so blocking here blocks the
-// simulation — which is exactly what pacing and pause mean.
-func (s *Session) onSample(o core.Observation) {
-	if !o.Final {
+// SampleEvery implements core.Sink: the session's sampling cadence.
+func (s *Session) SampleEvery() sim.Time { return s.every }
+
+// Emit implements core.Sink. It acts on state samples only: pace,
+// honor a pause, publish. It runs on the simulation goroutine, so
+// blocking here blocks the simulation — which is exactly what pacing and
+// pause mean.
+func (s *Session) Emit(e trace.Event) {
+	if e.Kind != trace.KindSample {
+		return
+	}
+	if !e.Sample.Final {
 		s.pace()
 	}
 	s.await()
@@ -87,7 +95,7 @@ func (s *Session) onSample(o core.Observation) {
 	s.mu.Lock()
 	stamp := s.stampLocked()
 	s.mu.Unlock()
-	s.hub.Publish(stamp, stateOf(o))
+	s.hub.Publish(stamp, stateOf(e.At, e.Sample))
 }
 
 // pace sleeps the simulation so samples land at most 1/minGap per
@@ -220,10 +228,11 @@ func (s *Session) Heartbeat() time.Duration {
 	return s.heartbeat
 }
 
-// stateOf converts one core observation into its wire snapshot.
-func stateOf(o core.Observation) api.SessionState {
+// stateOf converts one state sample taken at sim time at into its wire
+// snapshot.
+func stateOf(at sim.Time, o *trace.Sample) api.SessionState {
 	st := api.SessionState{
-		SimMS:   int64(o.At / sim.Millisecond),
+		SimMS:   int64(at / sim.Millisecond),
 		Nodes:   make([]api.SessionNode, len(o.Nodes)),
 		Tasks:   make([]api.SessionTask, len(o.Tasks)),
 		Metrics: api.MetricsFromRun(o.Metrics),

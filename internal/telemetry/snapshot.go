@@ -110,11 +110,8 @@ type Snapshot struct {
 }
 
 // Snapshot exports the recorder's aggregate state; it is safe to call
-// while a run is in flight. A nil recorder yields a zero snapshot.
+// while a run is in flight.
 func (r *Recorder) Snapshot() Snapshot {
-	if r == nil {
-		return Snapshot{}
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func TestBucketIndexBoundsContiguous(t *testing.T) {
@@ -300,50 +301,45 @@ func TestForecastSetSortedSnapshot(t *testing.T) {
 	}
 }
 
-// TestNilRecorderSafe calls every exported method on a nil *Recorder:
-// each must be a no-op, never a panic — this is the disabled state.
-func TestNilRecorderSafe(t *testing.T) {
-	var r *Recorder
-	if r.Enabled() {
-		t.Error("nil recorder reports enabled")
-	}
-	r.RecordExec("a", 0, 0, 0, 10, 0, 1, 2)
-	r.RecordJobWait(0, 5)
-	r.RecordMessage("a", 1, 0, 0, 1, 100, 0, 1, 2)
-	r.RecordStage("a", 0, 0, sim.Millisecond, sim.Second)
-	r.RecordEndToEnd("a", 0, sim.Millisecond, sim.Second, false)
-	r.RecordAdaptation(0, "a", 0, 0, "replicate", 1)
-	r.RecordForecastEval("a", 0)
-	r.SetProcUtil(0, 0.5)
-	r.SetNetUtil(0.5)
-	r.Predict("a", 0, 0, sim.Millisecond, sim.Millisecond)
-	r.ObserveForecast("a", 0, 0, sim.Millisecond, sim.Millisecond)
-	if r.Registry() != nil || r.Forecast() != nil || r.Spans() != nil || r.Instants() != nil {
-		t.Error("nil recorder exposes non-nil subsystems")
-	}
-	if s := r.Snapshot(); s.Spans != 0 {
-		t.Errorf("nil snapshot = %+v", s)
-	}
-	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
-		t.Errorf("nil WriteChromeTrace: %v", err)
-	}
+// exec is a KindExec event: one replica job of task "aaw".
+func exec(stage, period, proc, items int, submitted, started, completed sim.Time) trace.Event {
+	return trace.Event{Kind: trace.KindExec, Task: "aaw", Stage: int32(stage), Period: int32(period),
+		Proc: int32(proc), Value: int64(items), Start: submitted, Mid: started, At: completed}
+}
+
+// message is a KindMessage event: one handoff of task "aaw".
+func message(stage, period, from, to int, bytes int64, enqueued, sent, delivered sim.Time) trace.Event {
+	return trace.Event{Kind: trace.KindMessage, Task: "aaw", Stage: int32(stage), Period: int32(period),
+		From: int32(from), Proc: int32(to), Value: bytes, Start: enqueued, Mid: sent, At: delivered}
+}
+
+// replicate is a KindAdaptation event adding replicas to stage 0.
+func replicate(at sim.Time, added int64) trace.Event {
+	return trace.Event{Kind: trace.KindAdaptation, At: at, Task: "aaw", Action: trace.ActionReplicate, Value: added}
 }
 
 func TestRecorderEndToEnd(t *testing.T) {
-	r := New(DefaultConfig())
+	r := New()
 	// Period 0 of task "aaw": predict, execute, message, observe.
-	r.Predict("aaw", 0, 0, 100*sim.Millisecond, 10*sim.Millisecond)
-	r.RecordExec("aaw", 0, 0, 2, 50, 0, sim.Millisecond, 90*sim.Millisecond)
-	r.RecordJobWait(2, sim.Millisecond)
-	r.RecordMessage("aaw", 1, 0, 2, 3, 4096, 90*sim.Millisecond, 92*sim.Millisecond, 95*sim.Millisecond)
-	r.RecordMessage("aaw", 2, 0, 0, 1, 128, 0, sim.Millisecond, 2*sim.Millisecond)
-	r.RecordStage("aaw", 0, 0, 90*sim.Millisecond, 200*sim.Millisecond)
-	r.RecordEndToEnd("aaw", 0, 95*sim.Millisecond, sim.Second, false)
-	r.ObserveForecast("aaw", 0, 0, 90*sim.Millisecond, 5*sim.Millisecond)
-	r.RecordAdaptation(100*sim.Millisecond, "aaw", 0, 0, "replicate", 2)
-	r.SetProcUtil(2, 0.4)
-	r.SetNetUtil(0.1)
+	for _, e := range []trace.Event{
+		{Kind: trace.KindForecast, Task: "aaw", Latency: 100 * sim.Millisecond, Comm: 10 * sim.Millisecond},
+		exec(0, 0, 2, 50, 0, sim.Millisecond, 90*sim.Millisecond),
+		{Kind: trace.KindJobWait, Proc: 2, Start: 0, Mid: sim.Millisecond, At: 90 * sim.Millisecond},
+		message(1, 0, 2, 3, 4096, 90*sim.Millisecond, 92*sim.Millisecond, 95*sim.Millisecond),
+		message(2, 0, 0, 1, 128, 0, sim.Millisecond, 2*sim.Millisecond),
+		{Kind: trace.KindStage, Task: "aaw", Latency: 90 * sim.Millisecond, Comm: 5 * sim.Millisecond,
+			Deadline: 200 * sim.Millisecond},
+		{Kind: trace.KindEndToEnd, Task: "aaw", Latency: 95 * sim.Millisecond, Deadline: sim.Second},
+		replicate(100*sim.Millisecond, 2),
+		{Kind: trace.KindProcUtil, Proc: 2, Util: 0.4},
+		{Kind: trace.KindNetUtil, Util: 0.1},
+		{Kind: trace.KindDrop},
+		{Kind: trace.KindRetransmit},
+		{Kind: trace.KindForecastEval, Task: "aaw"},
+		{Kind: trace.KindSample, Sample: &trace.Sample{}}, // not the recorder's: ignored
+	} {
+		r.Emit(e)
+	}
 
 	snap := r.Snapshot()
 	if len(snap.Stages) != 1 || snap.Stages[0].Task != "aaw" || snap.Stages[0].Stage != 0 {
@@ -386,15 +382,28 @@ func TestRecorderEndToEnd(t *testing.T) {
 		t.Errorf("gauges = %v", snap.Gauges)
 	}
 	if snap.Spans != 3 || snap.Instants != 1 {
-		// 1 exec span + 2 message spans; RecordJobWait is metrics-only.
+		// 1 exec span + 2 message spans; job waits are metrics-only.
 		t.Errorf("spans/instants = %d/%d, want 3/1", snap.Spans, snap.Instants)
+	}
+	if snap.QueueWait.Count != 1 || snap.QueueWait.MaxMS != 1 {
+		t.Errorf("queue wait = %+v, want one 1 ms wait", snap.QueueWait)
+	}
+	for name, want := range map[string]uint64{
+		"rm_msg_dropped_total":                          1,
+		"rm_msg_retransmit_total":                       1,
+		`rm_forecast_evals_total{task="aaw",stage="0"}`: 1,
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("counter %s = %d, want %d", name, got, want)
+		}
 	}
 }
 
 func TestPredictFinalStageSkipsComm(t *testing.T) {
-	r := New(DefaultConfig())
-	r.Predict("aaw", 2, 0, 50*sim.Millisecond, -1)
-	r.ObserveForecast("aaw", 2, 0, 45*sim.Millisecond, -1)
+	r := New()
+	r.Emit(trace.Event{Kind: trace.KindForecast, Task: "aaw", Stage: 2, Latency: 50 * sim.Millisecond, Comm: -1})
+	r.Emit(trace.Event{Kind: trace.KindStage, Task: "aaw", Stage: 2, Latency: 45 * sim.Millisecond, Comm: -1,
+		Deadline: sim.Second})
 	fs := r.Snapshot().Forecast[0]
 	if fs.Exec.Matched != 1 || fs.Comm.Matched != 0 {
 		t.Errorf("final stage: exec %d matches, comm %d — want 1, 0",
@@ -403,11 +412,11 @@ func TestPredictFinalStageSkipsComm(t *testing.T) {
 }
 
 func TestWriteChromeTraceValidAndLoadable(t *testing.T) {
-	r := New(DefaultConfig())
-	r.RecordExec("aaw", 0, 0, 2, 50, 0, sim.Millisecond, 90*sim.Millisecond)
-	r.RecordMessage("aaw", 1, 0, 2, 3, 4096, 90*sim.Millisecond, 92*sim.Millisecond, 95*sim.Millisecond)
-	r.RecordMessage("aaw", 2, 0, 0, 1, 128, sim.Millisecond, sim.Millisecond, 2*sim.Millisecond)
-	r.RecordAdaptation(100*sim.Millisecond, "aaw", 0, 0, "replicate", 2)
+	r := New()
+	r.Emit(exec(0, 0, 2, 50, 0, sim.Millisecond, 90*sim.Millisecond))
+	r.Emit(message(1, 0, 2, 3, 4096, 90*sim.Millisecond, 92*sim.Millisecond, 95*sim.Millisecond))
+	r.Emit(message(2, 0, 0, 1, 128, sim.Millisecond, sim.Millisecond, 2*sim.Millisecond))
+	r.Emit(replicate(100*sim.Millisecond, 2))
 
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {
@@ -463,7 +472,7 @@ func TestWriteChromeTraceValidAndLoadable(t *testing.T) {
 
 func TestWriteChromeTraceEmptyIsValid(t *testing.T) {
 	var buf bytes.Buffer
-	if err := New(Config{}).WriteChromeTrace(&buf); err != nil {
+	if err := New().WriteChromeTrace(&buf); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 	var doc map[string]any
@@ -475,34 +484,30 @@ func TestWriteChromeTraceEmptyIsValid(t *testing.T) {
 	}
 }
 
-// BenchmarkNilRecorder measures the disabled-telemetry cost at a subtask
-// completion site: one RecordExec call on a nil receiver. The acceptance
-// bar is < 2 ns/op — a single predictable branch.
-func BenchmarkNilRecorder(b *testing.B) {
-	var r *Recorder
+// BenchmarkRecordExec is the cost of folding one exec event.
+func BenchmarkRecordExec(b *testing.B) {
+	r := New()
+	e := exec(0, 0, 2, 50, 0, 1, 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.RecordExec("aaw", 0, i, 2, 50, 0, 1, 2)
-	}
-}
-
-// BenchmarkEnabledRecordExec is the enabled-path cost for comparison.
-func BenchmarkEnabledRecordExec(b *testing.B) {
-	r := New(Config{CaptureSpans: false})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.RecordExec("aaw", 0, i, 2, 50, 0, 1, 2)
+		if len(r.spans) == cap(r.spans) {
+			r.spans = r.spans[:0] // bound the span buffer across b.N
+		}
+		r.Emit(e)
 	}
 }
 
 func TestEnabledHotPathDoesNotAllocate(t *testing.T) {
-	r := New(Config{CaptureSpans: false})
-	r.RecordExec("aaw", 0, 0, 2, 50, 0, 1, 2) // warm the handle cache
+	r := New()
+	r.Emit(exec(0, 0, 2, 50, 0, 1, 2)) // warm the handle cache
+	stage := trace.Event{Kind: trace.KindStage, Task: "aaw", Period: 1, Latency: sim.Millisecond,
+		Comm: -1, Deadline: sim.Second}
+	wait := trace.Event{Kind: trace.KindJobWait, Proc: 2, Start: 0, Mid: sim.Microsecond}
+	r.Emit(stage) // warm the forecast series
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.RecordExec("aaw", 0, 1, 2, 50, 0, 1, 2)
-		r.RecordStage("aaw", 0, 1, sim.Millisecond, sim.Second)
-		r.RecordJobWait(2, sim.Microsecond)
+		r.Emit(exec(0, 1, 2, 50, 0, 1, 2))
+		r.Emit(stage)
+		r.Emit(wait)
 	})
 	if allocs != 0 {
 		t.Errorf("enabled hot path allocates %.1f per run, want 0", allocs)

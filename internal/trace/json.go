@@ -9,9 +9,7 @@ import (
 	"repro/internal/task"
 )
 
-// PeriodJSON is the canonical JSON shape of one completed instance; the
-// log and run documents share it so every serialization path uses one
-// encoder. Times are milliseconds as floats, the unit the paper reports
+// PeriodJSON is the canonical JSON shape of one completed instance. Times are milliseconds as floats, the unit the paper reports
 // in.
 type PeriodJSON struct {
 	Period    int         `json:"period"`
@@ -66,38 +64,6 @@ func EventToJSON(e AdaptationEvent) EventJSON {
 		Kind:   string(e.Kind),
 		Procs:  e.Procs,
 	}
-}
-
-// LogJSON is the JSON document WriteJSON emits: the log's full contents,
-// the JSON counterpart of the two CSV writers.
-type LogJSON struct {
-	Records []PeriodJSON `json:"records"`
-	Events  []EventJSON  `json:"events"`
-}
-
-// WriteJSON emits the whole log — records and events — as indented JSON.
-func (l *Log) WriteJSON(w io.Writer) error {
-	doc := LogJSON{
-		Records: make([]PeriodJSON, 0, len(l.records)),
-		Events:  make([]EventJSON, 0, len(l.events)),
-	}
-	for _, r := range l.records {
-		doc.Records = append(doc.Records, PeriodToJSON(r))
-	}
-	for _, e := range l.events {
-		doc.Events = append(doc.Events, EventToJSON(e))
-	}
-	return writeIndented(w, doc)
-}
-
-// ReadLogJSON parses a document written by WriteJSON.
-func ReadLogJSON(r io.Reader) (LogJSON, error) {
-	var doc LogJSON
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
-		return LogJSON{}, fmt.Errorf("trace: read json: %w", err)
-	}
-	return doc, nil
 }
 
 // SummaryJSON is the JSON shape of a run's aggregate metrics.

@@ -12,9 +12,8 @@ import (
 	"repro/internal/task"
 )
 
-func sampleLog() *Log {
-	l := NewLog()
-	l.Record(&task.PeriodRecord{
+func sampleRecords() []*task.PeriodRecord {
+	return []*task.PeriodRecord{{
 		Period: 0, Items: 50,
 		ReleasedAt: 0, CompletedAt: 400 * sim.Millisecond,
 		Deadline: sim.Second,
@@ -22,60 +21,69 @@ func sampleLog() *Log {
 			{ReadyAt: 0, DoneAt: 300 * sim.Millisecond, DeliveredAt: 350 * sim.Millisecond, Replicas: 1},
 			{ReadyAt: 350 * sim.Millisecond, DoneAt: 400 * sim.Millisecond, DeliveredAt: 400 * sim.Millisecond, Replicas: 2},
 		},
-	})
-	l.Record(&task.PeriodRecord{
+	}, {
 		Period: 1, Items: 60,
 		ReleasedAt: sim.Second, CompletedAt: sim.Second + 1200*sim.Millisecond,
 		Deadline: 2 * sim.Second,
 		Stages:   []task.StageObservation{{Replicas: 1}, {Replicas: 1}},
-	})
-	l.Adaptation(AdaptationEvent{
+	}}
+}
+
+func sampleEvents() []AdaptationEvent {
+	return []AdaptationEvent{{
 		At: 2 * sim.Second, Period: 2, Task: "aaw", Stage: 1,
 		Kind: ActionReplicate, Procs: []int{3},
-	})
-	l.Adaptation(AdaptationEvent{
+	}, {
 		At: 3 * sim.Second, Period: 3, Task: "aaw", Stage: 1,
 		Kind: ActionAllocFailure,
-	})
-	return l
+	}}
+}
+
+// readRunJSON writes the run document and decodes it back.
+func readRunJSON(t *testing.T, run RunJSON) RunJSON {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteRunJSON(&buf, run); err != nil {
+		t.Fatalf("WriteRunJSON: %v", err)
+	}
+	var back RunJSON
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return back
 }
 
 func TestWriteJSONRoundTrip(t *testing.T) {
-	l := sampleLog()
-	var buf bytes.Buffer
-	if err := l.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
+	records, events := sampleRecords(), sampleEvents()
+	run := RunToJSON(metrics.RunMetrics{}, records, events)
+	got := readRunJSON(t, run)
+	want := RunJSON{
+		Summary: SummaryToJSON(metrics.RunMetrics{}),
+		Periods: []PeriodJSON{PeriodToJSON(records[0]), PeriodToJSON(records[1])},
+		Events:  []EventJSON{EventToJSON(events[0]), EventToJSON(events[1])},
 	}
-	doc, err := ReadLogJSON(&buf)
-	if err != nil {
-		t.Fatalf("ReadLogJSON: %v", err)
-	}
-	want := LogJSON{
-		Records: []PeriodJSON{PeriodToJSON(l.Records()[0]), PeriodToJSON(l.Records()[1])},
-		Events:  []EventJSON{EventToJSON(l.Events()[0]), EventToJSON(l.Events()[1])},
-	}
-	if !reflect.DeepEqual(doc, want) {
-		t.Errorf("round trip mismatch:\ngot  %+v\nwant %+v", doc, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("round trip mismatch:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
 func TestWriteJSONMatchesCSVContent(t *testing.T) {
 	// The JSON and CSV writers must agree on the derived values.
-	l := sampleLog()
-	var buf bytes.Buffer
-	if err := l.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
+	records := sampleRecords()
+	doc := readRunJSON(t, RunToJSON(metrics.RunMetrics{}, records, sampleEvents()))
+	var csv strings.Builder
+	if err := WriteRecordsCSV(&csv, records); err != nil {
+		t.Fatal(err)
 	}
-	doc, err := ReadLogJSON(&buf)
-	if err != nil {
-		t.Fatalf("ReadLogJSON: %v", err)
-	}
-	r0 := doc.Records[0]
-	if r0.LatencyMS != 400 {
-		t.Errorf("latency_ms = %v, want 400", r0.LatencyMS)
+	r0 := doc.Periods[0]
+	if r0.LatencyMS != 400 || !strings.Contains(csv.String(), "\n0,50,0.000,400.000,400.000,false\n") {
+		t.Errorf("latency_ms = %v, CSV %q; want 400 in both", r0.LatencyMS, csv.String())
 	}
 	if r0.Missed {
 		t.Error("record 0 marked missed; completed well before its deadline")
+	}
+	if doc.Periods[1].Missed != strings.Contains(csv.String(), "1200.000,true") || !doc.Periods[1].Missed {
+		t.Errorf("record 1 missed: JSON %v, CSV %q", doc.Periods[1].Missed, csv.String())
 	}
 	if got := r0.Stages[0]; got.ExecMS != 300 || got.CommMS != 50 || got.Replicas != 1 {
 		t.Errorf("stage 0 = %+v, want exec 300ms, comm 50ms, 1 replica", got)
@@ -89,16 +97,10 @@ func TestWriteJSONMatchesCSVContent(t *testing.T) {
 }
 
 func TestWriteJSONEmptyLog(t *testing.T) {
-	var buf bytes.Buffer
-	if err := NewLog().WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	doc, err := ReadLogJSON(&buf)
-	if err != nil {
-		t.Fatalf("ReadLogJSON: %v", err)
-	}
-	if len(doc.Records) != 0 || len(doc.Events) != 0 {
-		t.Errorf("empty log round-tripped as %+v", doc)
+	// A run that completed nothing and never adapted encodes no detail.
+	doc := readRunJSON(t, RunToJSON(metrics.RunMetrics{}, []*task.PeriodRecord{}, []AdaptationEvent{}))
+	if len(doc.Periods) != 0 || len(doc.Events) != 0 {
+		t.Errorf("empty run round-tripped as %+v", doc)
 	}
 }
 

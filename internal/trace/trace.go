@@ -1,6 +1,7 @@
-// Package trace records what an adaptive run did: one row per completed
-// period and one event per adaptation action, exportable as CSV for
-// inspection and plotting.
+// Package trace describes what an adaptive run did: the adaptation
+// actions and period records a run returns, their CSV and JSON forms,
+// and the typed observation stream (Event, Sink) a run emits while it
+// executes.
 package trace
 
 import (
@@ -44,52 +45,16 @@ func (e AdaptationEvent) String() string {
 		e.At, e.Period, e.Task, e.Stage, e.Kind, e.Procs)
 }
 
-// Log accumulates events and period records.
-type Log struct {
-	events  []AdaptationEvent
-	records []*task.PeriodRecord
-}
-
-// NewLog returns an empty log.
-func NewLog() *Log { return &Log{} }
-
-// Adaptation appends an event.
-func (l *Log) Adaptation(e AdaptationEvent) { l.events = append(l.events, e) }
-
-// Record appends a completed period record.
-func (l *Log) Record(r *task.PeriodRecord) { l.records = append(l.records, r) }
-
-// Events returns the recorded adaptation events.
-func (l *Log) Events() []AdaptationEvent { return l.events }
-
-// Records returns the completed period records.
-func (l *Log) Records() []*task.PeriodRecord { return l.records }
-
 // WriteRecordsCSV emits one row per completed period.
-func (l *Log) WriteRecordsCSV(w io.Writer) error {
+func WriteRecordsCSV(w io.Writer, records []*task.PeriodRecord) error {
 	if _, err := fmt.Fprintln(w, "period,items,released_ms,completed_ms,latency_ms,missed"); err != nil {
 		return err
 	}
-	for _, r := range l.records {
+	for _, r := range records {
 		_, err := fmt.Fprintf(w, "%d,%d,%.3f,%.3f,%.3f,%t\n",
 			r.Period, r.Items,
 			r.ReleasedAt.Milliseconds(), r.CompletedAt.Milliseconds(),
 			r.EndToEnd().Milliseconds(), r.Missed())
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteEventsCSV emits one row per adaptation event.
-func (l *Log) WriteEventsCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "time_ms,period,task,stage,action,procs"); err != nil {
-		return err
-	}
-	for _, e := range l.events {
-		_, err := fmt.Fprintf(w, "%.3f,%d,%s,%d,%s,%v\n",
-			e.At.Milliseconds(), e.Period, e.Task, e.Stage, e.Kind, e.Procs)
 		if err != nil {
 			return err
 		}

@@ -8,29 +8,20 @@ import (
 	"repro/internal/task"
 )
 
-func TestLogAccumulates(t *testing.T) {
-	l := NewLog()
-	l.Adaptation(AdaptationEvent{At: sim.Second, Period: 1, Task: "T", Stage: 2,
-		Kind: ActionReplicate, Procs: []int{3}})
-	l.Adaptation(AdaptationEvent{At: 2 * sim.Second, Period: 2, Task: "T", Stage: 2,
-		Kind: ActionShutdown, Procs: []int{3}})
-	l.Record(&task.PeriodRecord{Period: 0, Items: 100,
-		ReleasedAt: 0, CompletedAt: 500 * sim.Millisecond, Deadline: 990 * sim.Millisecond})
-	if len(l.Events()) != 2 || len(l.Records()) != 1 {
-		t.Fatalf("events=%d records=%d", len(l.Events()), len(l.Records()))
-	}
-	if s := l.Events()[0].String(); !strings.Contains(s, "replicate") {
+func TestAdaptationEventString(t *testing.T) {
+	e := AdaptationEvent{At: sim.Second, Period: 1, Task: "T", Stage: 2,
+		Kind: ActionReplicate, Procs: []int{3}}
+	if s := e.String(); !strings.Contains(s, "replicate") || !strings.Contains(s, "procs=[3]") {
 		t.Errorf("event string %q", s)
 	}
 }
 
 func TestWriteRecordsCSV(t *testing.T) {
-	l := NewLog()
-	l.Record(&task.PeriodRecord{Period: 3, Items: 42,
+	records := []*task.PeriodRecord{{Period: 3, Items: 42,
 		ReleasedAt: 3 * sim.Second, CompletedAt: 3*sim.Second + 400*sim.Millisecond,
-		Deadline: 3*sim.Second + 990*sim.Millisecond})
+		Deadline: 3*sim.Second + 990*sim.Millisecond}}
 	var b strings.Builder
-	if err := l.WriteRecordsCSV(&b); err != nil {
+	if err := WriteRecordsCSV(&b, records); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -38,20 +29,6 @@ func TestWriteRecordsCSV(t *testing.T) {
 		t.Errorf("missing header: %q", out)
 	}
 	if !strings.Contains(out, "3,42,3000.000,3400.000,400.000,false") {
-		t.Errorf("row wrong: %q", out)
-	}
-}
-
-func TestWriteEventsCSV(t *testing.T) {
-	l := NewLog()
-	l.Adaptation(AdaptationEvent{At: 1500 * sim.Millisecond, Period: 1, Task: "AAW",
-		Stage: 4, Kind: ActionAllocFailure})
-	var b strings.Builder
-	if err := l.WriteEventsCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "1500.000,1,AAW,4,alloc-failure,[]") {
 		t.Errorf("row wrong: %q", out)
 	}
 }
