@@ -11,13 +11,14 @@ test:
 	$(GO) test ./...
 
 # Each lane engine is single-threaded by design, but the lane-set barrier
-# drives them from a worker pool, telemetry's HTTP exposition reads
-# recorder state from handler goroutines, experiment sweeps fan
-# simulations across workers, and the resilience layer (journal, retry,
-# fault injector) is exercised concurrently by the server suites, and
+# drives them from a worker pool, experiment sweeps fan simulations
+# across workers, the event hub fans job and session streams out to
+# concurrent subscribers, the resilience layer (journal, retry, fault
+# injector) is exercised concurrently by the server suites, and
 # rmexperiments runs -remote against an in-process daemon — keep the hot
 # paths, their locking, and the sweep cache honest under the race
-# detector.
+# detector. CI runs this target; the service-plane packages need no
+# separate race step.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/telemetry/... ./internal/core/... ./internal/experiment/... ./internal/api/... ./internal/session/... ./internal/server/... ./internal/client/... ./internal/policy/... ./internal/resil/... ./cmd/rmexperiments/...
 

@@ -33,6 +33,19 @@ type Event struct {
 	Job      *Job          `json:"job,omitempty"`
 }
 
+// Terminal reports whether the frame carries its stream's terminal
+// state: a job frame of a finished job, or a session frame stamped with
+// a terminal session state. Every stream ends on such a frame.
+func (e Event) Terminal() bool {
+	switch {
+	case e.Job != nil:
+		return TerminalState(e.Job.State)
+	case e.Session != nil:
+		return TerminalSessionState(e.Session.State)
+	}
+	return false
+}
+
 // ErrUnknownEventType marks an SSE frame whose `event:` name this
 // schema version does not know. Consumers should skip such frames — an
 // older client surviving a newer server is the versioning policy's

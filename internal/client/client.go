@@ -305,89 +305,20 @@ func (c *Client) Stats(ctx context.Context) (api.Stats, error) {
 
 // Events subscribes to a job's SSE stream, invoking fn for every
 // snapshot until the job reaches a terminal state or ctx is cancelled.
-// A dropped stream reconnects with backoff, resuming via Last-Event-ID
-// so no snapshot is delivered twice; the retry budget resets whenever a
-// reconnect makes progress. Returns the last snapshot observed.
+// A dropped stream reconnects and resumes (see follow), so no snapshot
+// is delivered twice. Returns the last snapshot observed.
 func (c *Client) Events(ctx context.Context, id string, fn func(api.Job)) (api.Job, error) {
 	var last api.Job
-	var lastEventID string
-	sleep := c.sleeper()
-	var err error
-	for attempt := 1; ; attempt++ {
-		var progressed bool
-		progressed, err = c.streamEvents(ctx, id, &lastEventID, &last, fn)
-		if err == nil {
-			return last, nil // terminal state observed
-		}
-		if progressed {
-			attempt = 1
-		}
-		if !Retryable(err) || attempt >= c.Retry.MaxAttempts() {
-			return last, err
-		}
-		if c.Logger != nil {
-			c.Logger.Debug("rmserved event stream reconnecting", "job", id, "attempt", attempt, "last_event_id", lastEventID, "error", err.Error())
-		}
-		if serr := sleep(ctx, c.Retry.Delay(attempt)); serr != nil {
-			return last, err
-		}
-	}
-}
-
-// streamEvents holds one SSE connection open, updating *last and
-// *lastEventID per frame. It returns nil when a terminal snapshot
-// arrived, and whether any frame was decoded (progress, for the
-// reconnect budget).
-func (c *Client) streamEvents(ctx context.Context, id string, lastEventID *string, last *api.Job, fn func(api.Job)) (bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		return false, err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	req.Header.Set(obs.RequestIDHeader, requestID(ctx))
-	if *lastEventID != "" {
-		req.Header.Set("Last-Event-ID", *lastEventID)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false, decodeError(resp)
-	}
-	progressed := false
-	err = scanSSE(resp.Body, func(evID, name string, data []byte) error {
-		ev, perr := api.ParseSSE(name, data)
-		if perr != nil {
-			if errors.Is(perr, api.ErrUnknownEventType) {
-				return nil // a newer server; skip frames we don't know
-			}
-			return fmt.Errorf("client: decoding event: %w", perr)
-		}
+	err := c.follow(ctx, "/v1/jobs/"+id+"/events", func(ev api.Event) {
 		if ev.Type != api.EventJob {
-			return nil
+			return
 		}
-		if evID != "" {
-			*lastEventID = evID
-		}
-		*last = *ev.Job
-		progressed = true
+		last = *ev.Job
 		if fn != nil {
-			fn(*ev.Job)
+			fn(last)
 		}
-		if api.TerminalState(ev.Job.State) {
-			return errStreamDone
-		}
-		return nil
 	})
-	switch {
-	case errors.Is(err, errStreamDone):
-		return progressed, nil
-	case err != nil:
-		return progressed, err
-	}
-	return progressed, io.ErrUnexpectedEOF
+	return last, err
 }
 
 // Wait blocks until the job reaches a terminal state, preferring the SSE

@@ -10,12 +10,13 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/obs"
 	"repro/internal/resil"
+	"repro/internal/session"
 	"repro/internal/telemetry"
 )
 
-// job is the server-side state of one submitted run or sweep. The wire
-// view (api.Job) is a snapshot; subscribers receive a fresh snapshot on
-// every state transition.
+// job is the server-side state of one submitted run or sweep. Its
+// event stream publishes the wire view (api.Job) on every state
+// transition, numbered from 1.
 type job struct {
 	id   string
 	kind string // "run" | "sweep"
@@ -31,25 +32,17 @@ type job struct {
 	state    string
 	errMsg   string
 	attempts int
-	seq      uint64 // transition sequence, the SSE event id
+	seq      uint64 // frames published so far; the latest is the SSE event id
 	runRes   *api.RunResult
 	sweepRes *api.SweepResult
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	subs     map[chan jobEvent]struct{}
+	hub      session.Hub
 
 	cancel context.CancelFunc
 	ctx    context.Context
 	done   chan struct{}
-}
-
-// jobEvent is one SSE frame: the snapshot plus its monotonic sequence
-// number, which the wire carries as the SSE id so clients can resume a
-// dropped stream with Last-Event-ID.
-type jobEvent struct {
-	seq  uint64
-	snap api.Job
 }
 
 // snapshot renders the wire view under the job's lock.
@@ -57,14 +50,6 @@ func (j *job) snapshot() api.Job {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.snapshotLocked()
-}
-
-// current returns the snapshot together with its sequence number, read
-// atomically (the SSE handler's dedup decision needs both).
-func (j *job) current() (uint64, api.Job) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.seq, j.snapshotLocked()
 }
 
 func (j *job) snapshotLocked() api.Job {
@@ -89,58 +74,36 @@ func (j *job) snapshotLocked() api.Job {
 	return out
 }
 
-// transition moves the job to a new state and fans the snapshot out to
-// every SSE subscriber. Terminal transitions close done and drop the
-// subscriber set — late subscribers get one final snapshot and EOF.
+// publishLocked publishes the current wire view as the stream's next
+// frame — its own resync point, since a job frame is the whole job. A
+// terminal frame closes the stream and then done.
+func (j *job) publishLocked() {
+	j.seq++
+	snap := j.snapshotLocked()
+	ev := api.Event{Type: api.EventJob, Seq: j.seq, Job: &snap}
+	if api.TerminalState(j.state) {
+		j.hub.Close(ev)
+		close(j.done)
+		return
+	}
+	j.hub.Publish(ev, ev)
+}
+
+// transition moves the job to a new state and publishes it. Publishing
+// under the job's lock keeps frames in transition order; it never
+// blocks, however slow the subscribers.
 func (j *job) transition(state string, mutate func(*job)) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if api.TerminalState(j.state) {
 		// A cancel racing a completion: first terminal state wins.
-		j.mu.Unlock()
 		return
 	}
 	j.state = state
 	if mutate != nil {
 		mutate(j)
 	}
-	j.seq++
-	ev := jobEvent{seq: j.seq, snap: j.snapshotLocked()}
-	subs := make([]chan jobEvent, 0, len(j.subs))
-	for ch := range j.subs {
-		subs = append(subs, ch)
-	}
-	terminal := api.TerminalState(state)
-	j.mu.Unlock()
-
-	for _, ch := range subs {
-		// Subscriber channels are buffered; a stalled consumer loses
-		// intermediate frames but always observes the terminal one via
-		// the done channel below.
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
-	if terminal {
-		close(j.done)
-	}
-}
-
-// subscribe registers an SSE consumer; the returned cancel must be
-// called when the consumer leaves.
-func (j *job) subscribe() (<-chan jobEvent, func()) {
-	ch := make(chan jobEvent, 16)
-	j.mu.Lock()
-	if j.subs == nil {
-		j.subs = make(map[chan jobEvent]struct{})
-	}
-	j.subs[ch] = struct{}{}
-	j.mu.Unlock()
-	return ch, func() {
-		j.mu.Lock()
-		delete(j.subs, ch)
-		j.mu.Unlock()
-	}
+	j.publishLocked()
 }
 
 // execute drives the job to a terminal state, retrying transient

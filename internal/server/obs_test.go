@@ -204,6 +204,19 @@ func TestPprofGating(t *testing.T) {
 	}
 }
 
+// waitForSubscribers polls until srv's obs_sse_subscribers gauge reads
+// n: every stream handler it counts is attached to its hub.
+func waitForSubscribers(t *testing.T, srv *server.Server, n float64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Metrics().Values()["obs_sse_subscribers"] != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("obs_sse_subscribers = %v, never reached %v", srv.Metrics().Values()["obs_sse_subscribers"], n)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // TestSSESlowSubscriberDoesNotBlock pins the backpressure contract of
 // the event hub: a subscriber that never reads its stream must not delay
 // job completion, job cancellation, or a healthy subscriber's terminal
@@ -230,13 +243,7 @@ func TestSSESlowSubscriberDoesNotBlock(t *testing.T) {
 	}
 
 	// The subscriber gauge should see it connected.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Metrics().Values()["obs_sse_subscribers"] < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("obs_sse_subscribers never reached 1")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitForSubscribers(t, srv, 1)
 
 	// A healthy subscriber alongside it.
 	healthy := make(chan api.Job, 1)

@@ -555,9 +555,11 @@ func TestSSEResumeSkipsSeenFrames(t *testing.T) {
 	if lastID == "" {
 		t.Fatal("first subscription produced no id line")
 	}
+	waitForSubscribers(t, srv, 0)
 
 	// Resumed subscription: the running frame (id ≤ Last-Event-ID) must
-	// not repeat; cancelling the job delivers exactly the terminal frame.
+	// not repeat; cancelling the job, once the resumed subscriber is
+	// attached, delivers exactly the terminal frame.
 	req2, _ := http.NewRequest(http.MethodGet, base+"/v1/jobs/"+j.ID+"/events", nil)
 	req2.Header.Set("Last-Event-ID", lastID)
 	resp2, err := http.DefaultClient.Do(req2)
@@ -565,16 +567,11 @@ func TestSSEResumeSkipsSeenFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	cancelErr := make(chan error, 1)
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		_, err := cl.Cancel(context.Background(), j.ID)
-		cancelErr <- err
-	}()
-	frames := readFrames(resp2.Body)
-	if err := <-cancelErr; err != nil {
+	waitForSubscribers(t, srv, 1)
+	if _, err := cl.Cancel(context.Background(), j.ID); err != nil {
 		t.Fatalf("cancel failed: %v", err)
 	}
+	frames := readFrames(resp2.Body)
 	if len(frames) != 1 {
 		t.Fatalf("resumed stream delivered %d frames, want exactly the terminal one: %+v", len(frames), frames)
 	}

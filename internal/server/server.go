@@ -264,7 +264,7 @@ func (s *Server) rebuildJob(rj *replayedJob) *job {
 		if rj.finishedMS != 0 {
 			j.finished = time.UnixMilli(rj.finishedMS)
 		}
-		close(j.done)
+		j.publishLocked()
 		s.mu.Lock()
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
@@ -544,8 +544,12 @@ func (s *Server) rejectJournal(w http.ResponseWriter, j *job, err error) {
 	writeError(w, http.StatusServiceUnavailable, api.CodeJournal, "journal write failed; job not accepted, retry later: %v", err)
 }
 
-// enqueue registers the job and hands it to the worker pool.
+// enqueue opens the job's event stream on its queued frame, registers
+// the job, and hands it to the worker pool.
 func (s *Server) enqueue(j *job) {
+	j.mu.Lock()
+	j.publishLocked()
+	j.mu.Unlock()
 	s.mu.Lock()
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
@@ -748,15 +752,22 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.snapshot())
 }
 
-// handleJobEvents streams job snapshots as Server-Sent Events until the
-// job reaches a terminal state or the client disconnects. Every stream
-// opens with the current snapshot, so subscribing to a finished job
-// yields exactly one frame.
+// handleJobEvents streams the job's frames (see serveSSE) until the
+// terminal one. Job streams carry no heartbeats.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
+	if j := s.lookup(w, r); j != nil {
+		subscribe := func(lastEventID uint64) *session.Subscriber { return j.hub.Subscribe(lastEventID, 0) }
+		s.serveSSE(w, r, subscribe, 0)
 	}
+}
+
+// serveSSE is the one Server-Sent Events handler behind every stream.
+// It subscribes at the position the client's Last-Event-ID names (see
+// session.Hub.Subscribe) and writes each frame as it arrives, until the
+// stream's terminal frame has been written or the client leaves. An
+// idle stream gets an id-less heartbeat frame every heartbeat, when
+// heartbeat > 0.
+func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, subscribe func(lastEventID uint64) *session.Subscriber, heartbeat time.Duration) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, api.CodeInternal, "response writer cannot stream")
@@ -765,63 +776,40 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	// Flush the headers now: a resumed stream may suppress its initial
-	// frame, and a client blocked on response headers can't be said to
+	// Flush the headers now: a resume at the head has no frame to send
+	// yet, and a client blocked on response headers can't be said to
 	// have reconnected.
 	fl.Flush()
 
-	// Last-Event-ID (the standard SSE resume header) carries the sequence
-	// number of the last frame a reconnecting client saw; frames at or
-	// below it are suppressed so a resumed stream never duplicates state.
 	var lastID uint64
 	if v := r.Header.Get("Last-Event-ID"); v != "" {
 		lastID, _ = strconv.ParseUint(v, 10, 64)
 	}
-
-	events, unsub := j.subscribe()
-	defer unsub()
+	sub := subscribe(lastID)
+	defer sub.Close()
 	s.metrics.AddSSESubscribers(1)
 	defer s.metrics.AddSSESubscribers(-1)
 
-	emit := func(seq uint64, snap api.Job) bool {
-		ev := api.Event{Type: api.EventJob, Seq: seq, Job: &snap}
-		if err := ev.WriteSSE(w); err != nil {
-			return false
+	for {
+		ctx, cancel := r.Context(), context.CancelFunc(func() {})
+		if heartbeat > 0 {
+			ctx, cancel = context.WithTimeout(ctx, heartbeat)
+		}
+		ev, err := sub.Next(ctx)
+		cancel()
+		switch {
+		case err == nil:
+		case errors.Is(err, context.DeadlineExceeded) && r.Context().Err() == nil:
+			ev = api.Event{Type: api.EventHeartbeat}
+		default:
+			// The terminal frame was written (session.ErrClosed), or the
+			// client is gone.
+			return
+		}
+		if ev.WriteSSE(w) != nil {
+			return
 		}
 		fl.Flush()
-		return !api.TerminalState(snap.State)
-	}
-	seq, snap := j.current()
-	if seq > lastID || api.TerminalState(snap.State) {
-		// Terminal frames re-emit even when already seen: a stream must
-		// always end on one, and the duplicate is idempotent.
-		if !emit(seq, snap) {
-			return
-		}
-	}
-	for {
-		select {
-		case ev := <-events:
-			if !emit(ev.seq, ev.snap) {
-				return
-			}
-		case <-j.done:
-			// Drain any buffered frames, then emit the terminal snapshot.
-			for {
-				select {
-				case ev := <-events:
-					if !emit(ev.seq, ev.snap) {
-						return
-					}
-				default:
-					seq, snap := j.current()
-					emit(seq, snap)
-					return
-				}
-			}
-		case <-r.Context().Done():
-			return
-		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -329,6 +330,48 @@ func TestSSEEventSequence(t *testing.T) {
 	}
 	if states[len(states)-1] != api.JobDone {
 		t.Errorf("final frame %q, want done (all frames: %v)", states[len(states)-1], states)
+	}
+}
+
+// TestSSEClosedJobStreamServesTerminalFrame: every join of a finished
+// job's stream — fresh, at its head, or from an earlier frame — gets
+// exactly the terminal frame, so a stream always ends on one.
+func TestSSEClosedJobStreamServesTerminalFrame(t *testing.T) {
+	_, cl, base := newTestServerURL(t, server.Options{})
+	j, err := cl.SubmitRun(context.Background(), runReq(770010, []int{500}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, err = cl.Wait(context.Background(), j.ID); err != nil || j.State != api.JobDone {
+		t.Fatalf("wait: %+v, %v", j, err)
+	}
+	var terminalID string
+	for _, lastID := range []string{"", "head", "1"} {
+		req, _ := http.NewRequest(http.MethodGet, base+"/v1/jobs/"+j.ID+"/events", nil)
+		if lastID == "head" {
+			lastID = terminalID
+		}
+		if lastID != "" {
+			req.Header.Set("Last-Event-ID", lastID)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := readFrames(resp.Body)
+		resp.Body.Close()
+		if len(frames) != 1 {
+			t.Fatalf("join from %q: %d frames, want the terminal one alone: %+v", lastID, len(frames), frames)
+		}
+		ev, err := api.ParseSSE(api.EventJob, []byte(frames[0].data))
+		if err != nil || ev.Job.State != api.JobDone {
+			t.Fatalf("join from %q: frame %s (%v), want the done frame", lastID, frames[0].data, err)
+		}
+		if terminalID == "" {
+			terminalID = frames[0].id
+		} else if frames[0].id != terminalID {
+			t.Errorf("join from %q: frame id %s, want %s", lastID, frames[0].id, terminalID)
+		}
 	}
 }
 

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"net/http"
-	"strconv"
 
 	"repro/internal/api"
 	"repro/internal/session"
@@ -133,61 +131,11 @@ func (s *Server) handleStopSession(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sess.Info())
 }
 
-// handleSessionStream serves GET /v1/sessions/{id}/stream: the SSE
-// fan-out of snapshot/diff frames. The first frame is a snapshot (or,
-// with a Last-Event-ID inside the replay window, the missed diff tail);
-// heartbeat frames fire on idle streams and never carry an id, so they
-// don't disturb resume positions.
+// handleSessionStream serves GET /v1/sessions/{id}/stream: the
+// session's snapshot/diff frames (see serveSSE), with heartbeats at the
+// session's cadence.
 func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
-	sess := s.lookupSession(w, r)
-	if sess == nil {
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, api.CodeInternal, "response writer cannot stream")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	var lastID uint64
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		lastID, _ = strconv.ParseUint(v, 10, 64)
-	}
-	sub := sess.Subscribe(lastID)
-	defer sess.Unsubscribe(sub)
-	s.metrics.AddSSESubscribers(1)
-	defer s.metrics.AddSSESubscribers(-1)
-
-	hb := sess.Heartbeat()
-	for {
-		ctx, cancel := r.Context(), context.CancelFunc(func() {})
-		if hb > 0 {
-			ctx, cancel = context.WithTimeout(ctx, hb)
-		}
-		ev, err := sub.Next(ctx)
-		cancel()
-		switch {
-		case err == nil:
-			if ev.WriteSSE(w) != nil {
-				return
-			}
-			fl.Flush()
-		case errors.Is(err, session.ErrClosed):
-			// Terminal snapshot already delivered; end the stream.
-			return
-		case errors.Is(err, context.DeadlineExceeded) && r.Context().Err() == nil:
-			hbEv := api.Event{Type: api.EventHeartbeat}
-			if hbEv.WriteSSE(w) != nil {
-				return
-			}
-			fl.Flush()
-		default:
-			// Client gone.
-			return
-		}
+	if sess := s.lookupSession(w, r); sess != nil {
+		s.serveSSE(w, r, sess.Subscribe, sess.Heartbeat())
 	}
 }

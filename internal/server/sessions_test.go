@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -287,6 +288,88 @@ func TestSessionLifecycleAndErrors(t *testing.T) {
 	if _, err := cl.CreateSession(context.Background(), bad); err == nil {
 		t.Error("negative sample_ms accepted")
 	}
+}
+
+// TestSessionStoppedBeforeFirstSample: a session that ends before its
+// first sample still ends its stream on a terminal frame — the empty
+// state, stamped stopped — both for a subscriber attached while the run
+// is held at its first sample and for one joining after the stop, each
+// in a single connection.
+func TestSessionStoppedBeforeFirstSample(t *testing.T) {
+	srv, cl := newTestServer(t, server.Options{})
+	var conns atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/stream") {
+			conns.Add(1)
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	scl := client.New(ts.URL)
+	ctx := context.Background()
+
+	// Hold the run at its first sample: a pause that returns with Seq 0
+	// landed before the first frame was numbered, so none will be
+	// until Resume or Stop. The first sample sits 50,000 simulated
+	// periods in, so the pause all but always wins; when it does not,
+	// stop that session and take another.
+	req := sessReq(100_000)
+	req.SampleMS = 50_000_000
+	var sess api.Session
+	for attempt := 1; sess.ID == ""; attempt++ {
+		created, err := cl.CreateSession(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paused, err := cl.PauseSession(ctx, created.ID)
+		switch {
+		case err == nil && paused.Seq == 0:
+			sess = paused
+		case attempt == 10:
+			t.Fatalf("no session held before its first sample in %d attempts (last %+v, %v)", attempt, paused, err)
+		default:
+			_, _ = cl.StopSession(ctx, created.ID)
+		}
+	}
+
+	type result struct {
+		st    api.SessionState
+		stamp api.Session
+		err   error
+	}
+	stream := func() result {
+		var r result
+		r.st, r.stamp, r.err = scl.StreamSession(ctx, sess.ID, nil)
+		return r
+	}
+	live := make(chan result, 1)
+	go func() { live <- stream() }()
+	waitForSubscribers(t, srv, 1)
+	if s, err := cl.StopSession(ctx, sess.ID); err != nil || s.State != api.SessionStopped || s.Seq != 1 {
+		t.Fatalf("stop: %+v, %v; want stopped at seq 1", s, err)
+	}
+	check := func(who string, r result, wantConns int32) {
+		t.Helper()
+		if r.err != nil {
+			t.Fatalf("%s subscriber: %v", who, r.err)
+		}
+		if r.stamp.State != api.SessionStopped || r.stamp.Seq != 1 || r.stamp.SimMS != 0 {
+			t.Errorf("%s subscriber's terminal stamp %+v, want stopped at seq 1", who, r.stamp)
+		}
+		if !r.st.Equal(api.SessionState{}) {
+			t.Errorf("%s subscriber folded %+v, want the empty state", who, r.st)
+		}
+		if got := conns.Load(); got != wantConns {
+			t.Errorf("after the %s subscriber: %d stream connections, want %d (no retry)", who, got, wantConns)
+		}
+	}
+	select {
+	case r := <-live:
+		check("attached", r, 1)
+	case <-time.After(30 * time.Second):
+		t.Fatal("attached subscriber never saw the terminal frame")
+	}
+	check("late", stream(), 2)
 }
 
 // TestDrainStopsSessions proves Drain's session half: live sessions are

@@ -3,13 +3,15 @@
 // number of concurrent subscribers without ever blocking the simulation
 // loop.
 //
-// The fan-out discipline is drop-to-snapshot: every subscriber owns a
-// fixed ring of pending events, and a subscriber that falls a full ring
-// behind is evicted — its buffer is cleared and its next read returns a
-// fresh snapshot of the current state instead of the missed diffs.
-// Publishing therefore never waits on a consumer; slow readers lose
-// intermediate frames, never correctness, because a snapshot plus the
-// diffs after it folds to exactly the state the stream describes.
+// Its Hub is the one fan-out behind every rmserved event stream: a
+// session's snapshot/diff frames and a job's progress frames alike. The
+// discipline is drop-to-snapshot: every subscriber owns a bounded queue
+// of pending frames, and a subscriber that falls a full queue behind is
+// evicted — its queue is cleared and its next read returns the
+// stream's current snapshot instead of the missed frames. Publishing
+// therefore never waits on a consumer; slow readers lose intermediate
+// frames, never correctness, because a snapshot plus the frames after
+// it describes exactly the state the stream does.
 package session
 
 import (
@@ -20,118 +22,84 @@ import (
 	"repro/internal/api"
 )
 
-// ErrClosed is returned by Subscriber.Next once the session's stream
-// has ended and every buffered event has been delivered.
+// ErrClosed is returned by Subscriber.Next once the stream has ended
+// and its terminal frame has been delivered.
 var ErrClosed = errors.New("session: stream closed")
 
-// Hub fans one session's event stream out to its subscribers. The
-// publisher (the simulation goroutine) and any number of subscriber
-// goroutines may call it concurrently.
+const (
+	// replayWindow is how many recent frames a live hub keeps for
+	// Last-Event-ID resume.
+	replayWindow = 1024
+	// defaultBuffer is a subscriber's queue capacity when Subscribe is
+	// not given one.
+	defaultBuffer = 256
+)
+
+// Hub fans one event stream out to its subscribers. The zero value is
+// an open, empty stream. One publisher (calling Publish, then Close)
+// and any number of subscriber goroutines may use it concurrently.
 type Hub struct {
 	mu sync.Mutex
-	// seq numbers published events from 1; it is the SSE id and the
-	// Last-Event-ID resume key. Heartbeats live in the transport layer
-	// and never pass through the hub, so seq only moves with state.
+	// seq is the Seq of the latest frame. The publisher numbers frames
+	// 1, 2, 3, … in publish order; seq is the SSE id and the
+	// Last-Event-ID resume key.
 	seq uint64
-	// state/stamp are the latest published snapshot state and session
-	// view; hasState guards the virgin hub (nothing published yet).
-	state    api.SessionState
-	stamp    api.Session
-	hasState bool
-	closed   bool
-	// replay is a circular buffer of recent events keyed by seq — event
-	// q sits at replay[(q-1) % len(replay)] — so a reconnect with a
-	// Last-Event-ID inside the window replays the missed tail instead of
-	// forcing a snapshot.
-	replay        []api.Event
-	subs          map[*Subscriber]struct{}
-	evictions     uint64
-	defaultBuffer int
+	// snap is the frame a lagging subscriber resyncs from; its Type is
+	// empty until the first publish. After Close it is the terminal
+	// frame.
+	snap   api.Event
+	closed bool
+	// replay holds recent frames — frame q at replay[(q-1)%replayWindow]
+	// — so a reconnect inside the window replays the missed tail instead
+	// of resyncing. It grows with the stream up to replayWindow, and a
+	// closed hub drops it: every joiner of a closed stream gets the
+	// terminal frame alone.
+	replay    []api.Event
+	subs      map[*Subscriber]struct{}
+	evictions uint64
 }
 
-func newHub(replayWindow, defaultBuffer int) *Hub {
-	if replayWindow <= 0 {
-		replayWindow = 1024
-	}
-	if defaultBuffer <= 0 {
-		defaultBuffer = 256
-	}
-	return &Hub{
-		replay:        make([]api.Event, replayWindow),
-		subs:          make(map[*Subscriber]struct{}),
-		defaultBuffer: defaultBuffer,
-	}
-}
-
-// Publish appends the next state to the stream: the first publish
-// becomes a snapshot event, every later one a diff against the previous
-// state. The stamp's Seq/SimMS are overwritten with the event's. It
-// never blocks: subscribers that cannot absorb the event are evicted to
-// lagged (their next read resyncs from a snapshot). Returns the
-// event's seq.
-func (h *Hub) Publish(stamp api.Session, state api.SessionState) uint64 {
+// Publish appends frame to the stream; snap is what a subscriber that
+// falls behind from here on resyncs from (both carry frame's Seq). A
+// job publishes its frame as both; a session publishes a diff and the
+// full state. It never blocks: subscribers that cannot absorb the
+// frame are evicted to lagged.
+func (h *Hub) Publish(frame, snap api.Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
-		return h.seq
+		return
 	}
-	h.seq++
-	stamp.Seq = h.seq
-	stamp.SimMS = state.SimMS
-	ev := api.Event{Seq: h.seq, Session: &stamp}
-	if h.hasState {
-		ev.Type = api.EventDiff
-		d := api.DiffStates(h.state, state)
-		ev.Diff = &d
+	if len(h.replay) < replayWindow {
+		h.replay = append(h.replay, frame)
 	} else {
-		ev.Type = api.EventSnapshot
-		snap := state.Clone()
-		ev.Snapshot = &snap
+		h.replay[(frame.Seq-1)%replayWindow] = frame
 	}
-	h.state = state
-	h.stamp = stamp
-	h.hasState = true
-	h.fanOutLocked(ev)
-	return h.seq
+	h.snap = snap
+	h.fanOutLocked(frame)
 }
 
-// Close ends the stream. If any state was published it emits one final
-// snapshot event carrying the terminal stamp — the frame the
-// stream-vs-final consistency check compares folded diffs against —
-// then wakes every subscriber so their reads drain to ErrClosed.
-func (h *Hub) Close(stamp api.Session) uint64 {
+// Close ends the stream on final, the frame that carries its terminal
+// state. Every attached subscriber receives it (a lagged one resyncs to
+// it), and so does every later joiner, whatever position it resumes
+// from; then reads return ErrClosed.
+func (h *Hub) Close(final api.Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
-		return h.seq
+		return
 	}
 	h.closed = true
-	if h.hasState {
-		h.seq++
-		stamp.Seq = h.seq
-		stamp.SimMS = h.state.SimMS
-		snap := h.state.Clone()
-		h.stamp = stamp
-		h.fanOutLocked(api.Event{Type: api.EventSnapshot, Seq: h.seq, Session: &stamp, Snapshot: &snap})
-		return h.seq
-	}
-	// Nothing was ever published (the run failed or was stopped before
-	// its first sample): there is no state to snapshot, just wake the
-	// subscribers so Next returns ErrClosed.
-	stamp.Seq = h.seq
-	h.stamp = stamp
-	for s := range h.subs {
-		s.signal()
-	}
-	return h.seq
+	h.snap, h.replay = final, nil
+	h.fanOutLocked(final)
 }
 
-// fanOutLocked records the event in the replay window and pushes it to
-// every subscriber, evicting the ones whose ring is full.
-func (h *Hub) fanOutLocked(ev api.Event) {
-	h.replay[int((ev.Seq-1)%uint64(len(h.replay)))] = ev
+// fanOutLocked pushes the frame to every subscriber, evicting the ones
+// whose queue is full.
+func (h *Hub) fanOutLocked(frame api.Event) {
+	h.seq = frame.Seq
 	for s := range h.subs {
-		if !s.lagged && !s.push(ev) {
+		if !s.lagged && !s.push(frame) {
 			s.lagged = true
 			h.evictions++
 		}
@@ -140,77 +108,36 @@ func (h *Hub) fanOutLocked(ev api.Event) {
 }
 
 // Subscribe attaches a new subscriber. lastEventID is the stream
-// position the caller has already seen (0 for a fresh join); when it
-// falls inside the replay window and the missed tail fits the ring, the
-// tail is preloaded, otherwise the subscriber starts lagged and its
-// first read returns a current snapshot. buffer overrides the ring
-// capacity (≤ 0 means the hub default).
+// position the caller has already seen (0 for a fresh join). A resume
+// inside the replay window whose missed tail fits the queue gets that
+// tail; a resume at the head of a live stream waits for the next frame;
+// anything else — a fresh join, a stale or unknown position, any join
+// of a closed stream — starts lagged, so its first read is the current
+// snapshot. buffer caps the subscriber's queue (≤ 0 means 256).
 func (h *Hub) Subscribe(lastEventID uint64, buffer int) *Subscriber {
 	if buffer <= 0 {
-		buffer = h.defaultBuffer
+		buffer = defaultBuffer
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := &Subscriber{hub: h, buf: make([]api.Event, buffer), notify: make(chan struct{}, 1)}
-	stored := h.seq
-	if w := uint64(len(h.replay)); stored > w {
-		stored = w
-	}
+	s := &Subscriber{hub: h, limit: buffer, notify: make(chan struct{}, 1)}
+	missed := h.seq - lastEventID
 	switch {
-	case lastEventID == h.seq:
-		// Up to date: wait for the next event (or closure).
-	case lastEventID > 0 && lastEventID < h.seq &&
-		lastEventID+1 >= h.seq-stored+1 && h.seq-lastEventID <= uint64(len(s.buf)):
-		for q := lastEventID + 1; q <= h.seq; q++ {
-			s.push(h.replay[int((q-1)%uint64(len(h.replay)))])
-		}
-	case h.hasState:
-		// Fresh join on a live stream, a resume from outside the window,
-		// or a missed tail too big for the ring: start from a snapshot.
+	case h.closed || lastEventID > h.seq:
 		s.lagged = true
+	case missed == 0:
+	case lastEventID > 0 && missed <= uint64(len(h.replay)) && missed <= uint64(buffer):
+		for q := lastEventID + 1; q <= h.seq; q++ {
+			s.push(h.replay[(q-1)%replayWindow])
+		}
+	default:
+		s.lagged = true
+	}
+	if h.subs == nil {
+		h.subs = make(map[*Subscriber]struct{})
 	}
 	h.subs[s] = struct{}{}
 	return s
-}
-
-// Unsubscribe detaches a subscriber; its pending events are dropped.
-func (h *Hub) Unsubscribe(s *Subscriber) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	delete(h.subs, s)
-}
-
-// snapshotLocked synthesizes a snapshot event of the current state at
-// the current seq — what lagged subscribers resync from.
-func (h *Hub) snapshotLocked() api.Event {
-	stamp := h.stamp
-	snap := h.state.Clone()
-	return api.Event{Type: api.EventSnapshot, Seq: h.seq, Session: &stamp, Snapshot: &snap}
-}
-
-// State returns a copy of the latest published state; ok is false while
-// nothing has been published.
-func (h *Hub) State() (st api.SessionState, ok bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.hasState {
-		return api.SessionState{}, false
-	}
-	return h.state.Clone(), true
-}
-
-// Seq returns the latest published event sequence number.
-func (h *Hub) Seq() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.seq
-}
-
-// SimMS returns the sim-time progress of the latest published state.
-func (h *Hub) SimMS() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.state.SimMS
 }
 
 // Subscribers returns the current subscriber count.
@@ -228,39 +155,51 @@ func (h *Hub) Evictions() uint64 {
 	return h.evictions
 }
 
-// Subscriber is one attached consumer: a fixed ring of pending events
-// drained by Next. Not safe for concurrent use by multiple goroutines
-// (each stream handler owns one).
+// Subscriber is one attached consumer: a bounded queue of pending
+// frames drained by Next. Not safe for concurrent use by multiple
+// goroutines (each stream handler owns one).
 type Subscriber struct {
-	hub    *Hub
-	buf    []api.Event
+	hub *Hub
+	// queue[head:] are the pending frames, at most limit of them. The
+	// backing array grows on demand, so a short stream never pays for
+	// the full limit.
+	queue  []api.Event
 	head   int
-	n      int
+	limit  int
 	lagged bool
 	notify chan struct{}
 }
 
-// push appends under the hub lock; a full ring clears itself and
+// push appends under the hub lock; a full queue clears itself and
 // reports the overflow so the hub can mark the subscriber lagged.
 func (s *Subscriber) push(ev api.Event) bool {
-	if s.n == len(s.buf) {
-		for i := range s.buf {
-			s.buf[i] = api.Event{}
-		}
-		s.head, s.n = 0, 0
+	if len(s.queue)-s.head == s.limit {
+		s.reset()
 		return false
 	}
-	s.buf[(s.head+s.n)%len(s.buf)] = ev
-	s.n++
+	if s.head > 0 && len(s.queue) == cap(s.queue) {
+		n := copy(s.queue, s.queue[s.head:])
+		clear(s.queue[n:])
+		s.queue, s.head = s.queue[:n], 0
+	}
+	s.queue = append(s.queue, ev)
 	return true
 }
 
 func (s *Subscriber) pop() api.Event {
-	ev := s.buf[s.head]
-	s.buf[s.head] = api.Event{}
-	s.head = (s.head + 1) % len(s.buf)
-	s.n--
+	ev := s.queue[s.head]
+	s.queue[s.head] = api.Event{}
+	s.head++
+	if s.head == len(s.queue) {
+		s.queue, s.head = s.queue[:0], 0
+	}
 	return ev
+}
+
+// reset drops every pending frame.
+func (s *Subscriber) reset() {
+	clear(s.queue)
+	s.queue, s.head = s.queue[:0], 0
 }
 
 // signal wakes a blocked Next without ever blocking the caller.
@@ -271,27 +210,24 @@ func (s *Subscriber) signal() {
 	}
 }
 
-// Next returns the next event, blocking until one is available, the
-// stream closes (ErrClosed after the buffer drains), or ctx is done
-// (ctx.Err()). An evicted subscriber's next read is a fresh snapshot at
-// the current seq; buffered events are discarded since the snapshot
-// already subsumes them. Callers implement heartbeats by passing a
-// deadline context and treating context.DeadlineExceeded as "idle".
+// Next returns the next frame, blocking until one is available, the
+// stream has closed and its terminal frame was delivered (ErrClosed),
+// or ctx is done (ctx.Err()). An evicted subscriber's next read is the
+// current snapshot; pending frames are discarded since the snapshot
+// subsumes them. Callers implement heartbeats by passing a deadline
+// context and treating context.DeadlineExceeded as "idle".
 func (s *Subscriber) Next(ctx context.Context) (api.Event, error) {
 	h := s.hub
 	for {
 		h.mu.Lock()
 		switch {
-		case s.lagged && h.hasState:
+		case s.lagged && h.snap.Type != "":
 			s.lagged = false
-			for i := range s.buf {
-				s.buf[i] = api.Event{}
-			}
-			s.head, s.n = 0, 0
-			ev := h.snapshotLocked()
+			s.reset()
+			ev := h.snap
 			h.mu.Unlock()
 			return ev, nil
-		case s.n > 0:
+		case len(s.queue) > s.head:
 			ev := s.pop()
 			h.mu.Unlock()
 			return ev, nil
@@ -305,5 +241,18 @@ func (s *Subscriber) Next(ctx context.Context) (api.Event, error) {
 		case <-ctx.Done():
 			return api.Event{}, ctx.Err()
 		}
+	}
+}
+
+// Close detaches the subscriber; its pending frames are dropped. The
+// last one out frees the subscriber set, so the hubs of the many
+// finished jobs a daemon keeps hold no empty maps.
+func (s *Subscriber) Close() {
+	h := s.hub
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	delete(h.subs, s)
+	if len(h.subs) == 0 {
+		h.subs = nil
 	}
 }

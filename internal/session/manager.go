@@ -24,11 +24,9 @@ var (
 
 // Defaults applied by the Manager when a knob is zero.
 const (
-	DefaultMaxSessions  = 16
-	DefaultSampleMS     = 500
-	DefaultHeartbeatMS  = 10000
-	DefaultBufferEvents = 256
-	DefaultReplayWindow = 1024
+	DefaultMaxSessions = 16
+	DefaultSampleMS    = 500
+	DefaultHeartbeatMS = 10000
 )
 
 // Config shapes a Manager. The zero value is usable: every field has a
@@ -36,12 +34,6 @@ const (
 type Config struct {
 	// MaxSessions caps concurrently live (non-terminal) sessions.
 	MaxSessions int
-	// DefaultBuffer is the per-subscriber ring capacity when the session
-	// request does not override it.
-	DefaultBuffer int
-	// ReplayWindow is how many recent events each session keeps for
-	// Last-Event-ID resume.
-	ReplayWindow int
 	// NowMS supplies wall-clock milliseconds; tests override it.
 	NowMS func() int64
 }
@@ -65,12 +57,6 @@ type Manager struct {
 func NewManager(cfg Config) *Manager {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = DefaultMaxSessions
-	}
-	if cfg.DefaultBuffer <= 0 {
-		cfg.DefaultBuffer = DefaultBufferEvents
-	}
-	if cfg.ReplayWindow <= 0 {
-		cfg.ReplayWindow = DefaultReplayWindow
 	}
 	if cfg.NowMS == nil {
 		cfg.NowMS = func() int64 { return time.Now().UnixMilli() }
@@ -101,10 +87,6 @@ func (m *Manager) Create(req api.SessionRequest) (*Session, error) {
 	if heartbeatMS == 0 {
 		heartbeatMS = DefaultHeartbeatMS
 	}
-	buffer := req.Buffer
-	if buffer <= 0 {
-		buffer = m.cfg.DefaultBuffer
-	}
 	var minGap time.Duration
 	if req.MaxRateHz > 0 {
 		minGap = time.Duration(float64(time.Second) / req.MaxRateHz)
@@ -128,8 +110,7 @@ func (m *Manager) Create(req api.SessionRequest) (*Session, error) {
 		every:     sim.Time(sampleMS) * sim.Millisecond,
 		minGap:    minGap,
 		heartbeat: time.Duration(heartbeatMS) * time.Millisecond,
-		buffer:    buffer,
-		hub:       newHub(m.cfg.ReplayWindow, m.cfg.DefaultBuffer),
+		buffer:    req.Buffer,
 		ctx:       ctx,
 		cancel:    cancel,
 		nowMS:     m.cfg.NowMS,

@@ -58,7 +58,7 @@ func TestSessionStreamConsistency(t *testing.T) {
 			time.Sleep(time.Duration(i) * time.Millisecond)
 			sub := s.Subscribe(0)
 			finals[i], lasts[i], counts[i] = drain(t, sub)
-			s.Unsubscribe(sub)
+			sub.Close()
 		}(i)
 	}
 	wg.Wait()
@@ -123,10 +123,11 @@ func TestSessionPauseResumeStop(t *testing.T) {
 	if got := s.Info().State; got != api.SessionPaused {
 		t.Fatalf("state after pause: %s", got)
 	}
-	// At most one in-flight sample can land after the gate closes.
-	seq := s.hub.Seq()
+	// The gate is checked under the lock that numbers frames, so not
+	// one sample lands once Pause has returned.
+	seq := s.Info().Seq
 	time.Sleep(50 * time.Millisecond)
-	if moved := s.hub.Seq() - seq; moved > 1 {
+	if moved := s.Info().Seq - seq; moved != 0 {
 		t.Fatalf("paused session published %d events", moved)
 	}
 	if err := s.Resume(); err != nil {

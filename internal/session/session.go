@@ -31,7 +31,7 @@ type Session struct {
 	heartbeat time.Duration
 	buffer    int
 
-	hub    *Hub
+	hub    Hub
 	ctx    context.Context
 	cancel context.CancelFunc
 	nowMS  func() int64
@@ -46,19 +46,26 @@ type Session struct {
 	// gate is non-nil while paused; Resume closes it to release the
 	// simulation goroutine blocked in Emit.
 	gate chan struct{}
+	// seq numbers the stream's frames; last is the latest published
+	// state, nil before the first sample. Both change only on the
+	// simulation goroutine, under mu.
+	seq  uint64
+	last *api.SessionState
 
 	// nextSample is the pacing deadline; touched only on the simulation
 	// goroutine.
 	nextSample time.Time
 }
 
-// run executes the simulation to completion, then closes the hub with
-// the terminal stamp (emitting the terminal snapshot frame).
+// run executes the simulation to completion, then closes the stream on
+// its terminal frame: the last published state (empty when the run
+// ended before its first sample) stamped with the terminal session view.
 func (s *Session) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer close(s.done)
 	_, err := core.RunObservedContext(s.ctx, s.cfg, s.alg, s.setups, s)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	switch {
 	case err == nil:
 		s.state = api.SessionDone
@@ -69,18 +76,23 @@ func (s *Session) run(wg *sync.WaitGroup) {
 		s.errMsg = err.Error()
 	}
 	s.finishedMS = s.nowMS()
+	s.seq++
 	stamp := s.stampLocked()
-	s.mu.Unlock()
-	s.hub.Close(stamp)
+	snap := s.last
+	if snap == nil {
+		snap = &api.SessionState{}
+	}
+	s.hub.Close(api.Event{Type: api.EventSnapshot, Seq: s.seq, Session: &stamp, Snapshot: snap})
 }
 
 // SampleEvery implements core.Sink: the session's sampling cadence.
 func (s *Session) SampleEvery() sim.Time { return s.every }
 
 // Emit implements core.Sink. It acts on state samples only: pace,
-// honor a pause, publish. It runs on the simulation goroutine, so
-// blocking here blocks the simulation — which is exactly what pacing and
-// pause mean.
+// honor a pause, publish the sample as a diff against the previous one
+// (the first as a snapshot), with the full state as the hub's resync
+// point. It runs on the simulation goroutine, so blocking here blocks
+// the simulation — which is exactly what pacing and pause mean.
 func (s *Session) Emit(e trace.Event) {
 	if e.Kind != trace.KindSample {
 		return
@@ -88,14 +100,34 @@ func (s *Session) Emit(e trace.Event) {
 	if !e.Sample.Final {
 		s.pace()
 	}
-	s.await()
+	st := stateOf(e.At, e.Sample)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// The gate is checked under the same lock that numbers the frame,
+	// so once Pause returns no further frame is published until Resume.
+	for s.gate != nil && s.ctx.Err() == nil {
+		gate := s.gate
+		s.mu.Unlock()
+		select {
+		case <-gate:
+		case <-s.ctx.Done():
+		}
+		s.mu.Lock()
+	}
 	if s.ctx.Err() != nil {
 		return
 	}
-	s.mu.Lock()
+	prev := s.last
+	s.seq++
+	s.last = &st
 	stamp := s.stampLocked()
-	s.mu.Unlock()
-	s.hub.Publish(stamp, stateOf(e.At, e.Sample))
+	snap := api.Event{Type: api.EventSnapshot, Seq: s.seq, Session: &stamp, Snapshot: &st}
+	frame := snap
+	if prev != nil {
+		d := api.DiffStates(*prev, st)
+		frame = api.Event{Type: api.EventDiff, Seq: s.seq, Session: &stamp, Diff: &d}
+	}
+	s.hub.Publish(frame, snap)
 }
 
 // pace sleeps the simulation so samples land at most 1/minGap per
@@ -119,27 +151,10 @@ func (s *Session) pace() {
 	s.nextSample = now.Add(s.minGap)
 }
 
-// await blocks while the session is paused; Resume or Stop releases it.
-func (s *Session) await() {
-	for {
-		s.mu.Lock()
-		gate := s.gate
-		s.mu.Unlock()
-		if gate == nil {
-			return
-		}
-		select {
-		case <-gate:
-		case <-s.ctx.Done():
-			return
-		}
-	}
-}
-
 // stampLocked builds the session's wire view minus the hub-owned
-// counters (Seq, SimMS, Subscribers, Evictions).
+// counters (Subscribers, Evictions).
 func (s *Session) stampLocked() api.Session {
-	return api.Session{
+	stamp := api.Session{
 		SchemaVersion: api.SchemaVersion,
 		ID:            s.ID,
 		State:         s.state,
@@ -148,7 +163,12 @@ func (s *Session) stampLocked() api.Session {
 		SampleMS:      int64(s.every / sim.Millisecond),
 		CreatedMS:     s.createdMS,
 		FinishedMS:    s.finishedMS,
+		Seq:           s.seq,
 	}
+	if s.last != nil {
+		stamp.SimMS = s.last.SimMS
+	}
+	return stamp
 }
 
 // Info returns the session's current wire view.
@@ -156,17 +176,20 @@ func (s *Session) Info() api.Session {
 	s.mu.Lock()
 	info := s.stampLocked()
 	s.mu.Unlock()
-	info.SimMS = s.hub.SimMS()
-	info.Seq = s.hub.Seq()
 	info.Subscribers = s.hub.Subscribers()
 	info.Evictions = s.hub.Evictions()
 	return info
 }
 
-// State returns a copy of the latest published snapshot state; ok is
-// false before the first sample.
+// State returns a copy of the latest published state; ok is false
+// before the first sample.
 func (s *Session) State() (api.SessionState, bool) {
-	return s.hub.State()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.last == nil {
+		return api.SessionState{}, false
+	}
+	return s.last.Clone(), true
 }
 
 // Pause gates the simulation at its next sample. Pausing a paused
@@ -212,15 +235,10 @@ func (s *Session) Done() <-chan struct{} {
 	return s.done
 }
 
-// Subscribe attaches a stream consumer (see Hub.Subscribe); the ring
-// capacity is the session's configured buffer.
+// Subscribe attaches a stream consumer (see Hub.Subscribe) with the
+// session's configured queue capacity.
 func (s *Session) Subscribe(lastEventID uint64) *Subscriber {
 	return s.hub.Subscribe(lastEventID, s.buffer)
-}
-
-// Unsubscribe detaches a consumer.
-func (s *Session) Unsubscribe(sub *Subscriber) {
-	s.hub.Unsubscribe(sub)
 }
 
 // Heartbeat is the effective per-subscriber heartbeat cadence.

@@ -205,116 +205,3 @@ func BucketQuantile(buckets []Bucket, p float64) float64 {
 	last := buckets[len(buckets)-1]
 	return last.Hi
 }
-
-// P2Quantile is the Jain–Chlamtac P² streaming estimator of a single
-// percentile: five markers track the running CDF in O(1) space, with
-// parabolic marker adjustment. It converges to the true percentile
-// without retaining observations — the memory-bounded alternative to
-// Percentile for long runs.
-type P2Quantile struct {
-	p float64 // target quantile as a fraction
-	n int     // observations seen
-
-	heights [5]float64 // marker heights (estimates)
-	pos     [5]float64 // actual marker positions (1-based ranks)
-	want    [5]float64 // desired marker positions
-	incr    [5]float64 // desired-position increments per observation
-}
-
-// NewP2Quantile returns an estimator of the p-th percentile
-// (0 < p < 100).
-func NewP2Quantile(p float64) *P2Quantile {
-	if p <= 0 || p >= 100 {
-		panic(fmt.Sprintf("stats: P2Quantile p=%v out of (0,100)", p))
-	}
-	q := p / 100
-	e := &P2Quantile{p: q}
-	e.incr = [5]float64{0, q / 2, q, (1 + q) / 2, 1}
-	return e
-}
-
-// N returns the number of observations pushed so far.
-func (e *P2Quantile) N() int { return e.n }
-
-// Push folds in one observation.
-func (e *P2Quantile) Push(x float64) {
-	if e.n < 5 {
-		e.heights[e.n] = x
-		e.n++
-		if e.n == 5 {
-			sort.Float64s(e.heights[:])
-			for i := range e.pos {
-				e.pos[i] = float64(i + 1)
-			}
-			q := e.p
-			e.want = [5]float64{1, 1 + 2*q, 1 + 4*q, 3 + 2*q, 5}
-		}
-		return
-	}
-	e.n++
-	// Locate the cell containing x, stretching the extreme markers.
-	var k int
-	switch {
-	case x < e.heights[0]:
-		e.heights[0] = x
-		k = 0
-	case x >= e.heights[4]:
-		e.heights[4] = x
-		k = 3
-	default:
-		for k = 0; k < 4; k++ {
-			if x < e.heights[k+1] {
-				break
-			}
-		}
-	}
-	for i := k + 1; i < 5; i++ {
-		e.pos[i]++
-	}
-	for i := range e.want {
-		e.want[i] += e.incr[i]
-	}
-	// Adjust the three interior markers toward their desired positions.
-	for i := 1; i <= 3; i++ {
-		d := e.want[i] - e.pos[i]
-		if (d >= 1 && e.pos[i+1]-e.pos[i] > 1) || (d <= -1 && e.pos[i-1]-e.pos[i] < -1) {
-			sign := 1.0
-			if d < 0 {
-				sign = -1
-			}
-			h := e.parabolic(i, sign)
-			if e.heights[i-1] < h && h < e.heights[i+1] {
-				e.heights[i] = h
-			} else {
-				e.heights[i] = e.linear(i, sign)
-			}
-			e.pos[i] += sign
-		}
-	}
-}
-
-// parabolic is the P² piecewise-parabolic height prediction.
-func (e *P2Quantile) parabolic(i int, d float64) float64 {
-	return e.heights[i] + d/(e.pos[i+1]-e.pos[i-1])*
-		((e.pos[i]-e.pos[i-1]+d)*(e.heights[i+1]-e.heights[i])/(e.pos[i+1]-e.pos[i])+
-			(e.pos[i+1]-e.pos[i]-d)*(e.heights[i]-e.heights[i-1])/(e.pos[i]-e.pos[i-1]))
-}
-
-// linear is the fallback height prediction when the parabola overshoots.
-func (e *P2Quantile) linear(i int, d float64) float64 {
-	j := i + int(d)
-	return e.heights[i] + d*(e.heights[j]-e.heights[i])/(e.pos[j]-e.pos[i])
-}
-
-// Value returns the current percentile estimate; before five observations
-// it falls back to the exact small-sample percentile. It panics when no
-// observation has been pushed.
-func (e *P2Quantile) Value() float64 {
-	if e.n == 0 {
-		panic("stats: Value of empty P2Quantile")
-	}
-	if e.n < 5 {
-		return Percentile(e.heights[:e.n], e.p*100)
-	}
-	return e.heights[2]
-}

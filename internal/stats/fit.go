@@ -79,16 +79,6 @@ func PolyFit(xs, ys []float64, degree int, intercept bool) ([]float64, error) {
 	return FitBasis(rows, ys, PolyBasis(degree, intercept))
 }
 
-// PolyEval evaluates a polynomial with coefficients highest degree first;
-// if len(coefs) == degree (no constant), the constant term is zero.
-func PolyEval(coefs []float64, x float64) float64 {
-	var y float64
-	for _, c := range coefs {
-		y = y*x + c
-	}
-	return y
-}
-
 // LinearThroughOrigin fits y = k·x, returning the slope that minimizes
 // squared error: k = Σxy / Σx². The paper's buffer-delay model (eq. 5) is
 // a through-origin line in the total periodic workload.

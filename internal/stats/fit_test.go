@@ -58,20 +58,6 @@ func TestPolyBasisBadDegreePanics(t *testing.T) {
 	PolyBasis(0, true)
 }
 
-func TestPolyEval(t *testing.T) {
-	// coefficients [2, -1, 3] = 2x² − x + 3
-	if got := PolyEval([]float64{2, -1, 3}, 2); got != 9 {
-		t.Errorf("PolyEval = %v, want 9", got)
-	}
-	// no constant: [2, -1] = 2x − 1... highest first: 2x − 1 at x=3 → 5
-	if got := PolyEval([]float64{2, -1}, 3); got != 5 {
-		t.Errorf("PolyEval = %v, want 5", got)
-	}
-	if got := PolyEval(nil, 42.0); got != 0 {
-		t.Errorf("PolyEval(nil) = %v, want 0", got)
-	}
-}
-
 // Property: PolyFit on noiseless data from a random quadratic recovers the
 // coefficients.
 func TestPropertyPolyFitRecovery(t *testing.T) {

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand/v2"
-	"sort"
 	"testing"
 )
 
@@ -78,69 +77,4 @@ func TestBucketQuantileErrors(t *testing.T) {
 	mustPanic(t, "p out of range", func() { BucketQuantile(buckets, -1) })
 	mustPanic(t, "p out of range", func() { BucketQuantile(buckets, 101) })
 	mustPanic(t, "empty histogram", func() { BucketQuantile([]Bucket{{Lo: 0, Hi: 1}}, 50) })
-}
-
-func TestP2QuantileSmallSampleIsExact(t *testing.T) {
-	e := NewP2Quantile(50)
-	for _, x := range []float64{3, 1, 2} {
-		e.Push(x)
-	}
-	if got, want := e.Value(), Percentile([]float64{3, 1, 2}, 50); got != want {
-		t.Errorf("small-sample p50 = %v, want exact %v", got, want)
-	}
-	if e.N() != 3 {
-		t.Errorf("N = %d, want 3", e.N())
-	}
-}
-
-func TestP2QuantileVsExactSorted(t *testing.T) {
-	// The acceptance check for the streaming estimator: against the exact
-	// sorted-slice percentile on a few distributions, the P² estimate must
-	// land within a few percent of the sample range.
-	rng := rand.New(rand.NewPCG(42, 1))
-	distros := map[string]func() float64{
-		"uniform":     func() float64 { return rng.Float64() * 1000 },
-		"exponential": func() float64 { return rng.ExpFloat64() * 100 },
-		"normal":      func() float64 { return rng.NormFloat64()*50 + 500 },
-	}
-	for name, draw := range distros {
-		for _, p := range []float64{50, 90, 95, 99} {
-			e := NewP2Quantile(p)
-			var xs []float64
-			for i := 0; i < 20000; i++ {
-				x := draw()
-				xs = append(xs, x)
-				e.Push(x)
-			}
-			exact := Percentile(xs, p)
-			sorted := append([]float64(nil), xs...)
-			sort.Float64s(sorted)
-			spread := sorted[len(sorted)-1] - sorted[0]
-			if diff := math.Abs(e.Value() - exact); diff > 0.02*spread {
-				t.Errorf("%s p%.0f: P² %v vs exact %v (diff %v > 2%% of range %v)",
-					name, p, e.Value(), exact, diff, spread)
-			}
-		}
-	}
-}
-
-func TestP2QuantileMonotoneInP(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 9))
-	e50, e90, e99 := NewP2Quantile(50), NewP2Quantile(90), NewP2Quantile(99)
-	for i := 0; i < 5000; i++ {
-		x := rng.Float64() * 100
-		e50.Push(x)
-		e90.Push(x)
-		e99.Push(x)
-	}
-	if !(e50.Value() <= e90.Value() && e90.Value() <= e99.Value()) {
-		t.Errorf("quantile estimates not monotone: p50=%v p90=%v p99=%v",
-			e50.Value(), e90.Value(), e99.Value())
-	}
-}
-
-func TestP2QuantileErrors(t *testing.T) {
-	mustPanic(t, "p=0", func() { NewP2Quantile(0) })
-	mustPanic(t, "p=100", func() { NewP2Quantile(100) })
-	mustPanic(t, "empty Value", func() { NewP2Quantile(50).Value() })
 }
