@@ -135,19 +135,18 @@ func main() {
 	if *mtbf > 0 || *drop > 0 {
 		cfg.Degradation = core.HardenedDegradation()
 	}
-	// The telemetry recorder consumes the run's observation stream; a
-	// nil sink runs unobserved.
+	// Every output below is rendered from the run's observation stream:
+	// the recording keeps it, and the telemetry recorder, when asked
+	// for, consumes it too.
+	recording := &trace.Recording{}
+	var sink core.Sink = recording
 	var rec *telemetry.Recorder
-	var sink core.Sink
 	if *telOut != "" || *chrome != "" {
 		rec = telemetry.New()
-		sink = rec
+		sink = tee{recording, rec}
 	}
 	setups := []core.TaskSetup{setup}
 	if *lanes >= 2 {
-		if rec != nil {
-			fatal(fmt.Errorf("-lanes %d cannot be combined with telemetry outputs (per-lane recorders cannot be merged)", *lanes))
-		}
 		// One segment of the default size per lane, each running its own
 		// copy of the task (nil Homes sends copy l to lane l).
 		cfg.NumNodes *= *lanes
@@ -196,11 +195,13 @@ func main() {
 	}
 	fmt.Printf("events fired     %d (identical seeds must match exactly)\n", res.EventsFired)
 
-	if len(res.Records) > 0 {
-		lat := make([]float64, len(res.Records))
-		for i, r := range res.Records {
-			lat[i] = r.EndToEnd().Milliseconds()
+	var lat []float64
+	for _, e := range recording.Events {
+		if e.Kind == trace.KindEndToEnd {
+			lat = append(lat, e.Latency.Milliseconds())
 		}
+	}
+	if len(lat) > 0 {
 		s := stats.Summarize(lat)
 		fmt.Printf("latency (ms)     p50=%.1f p95=%.1f max=%.1f (deadline %v)\n",
 			s.P50, s.P95, s.Max, dynbench.Deadline)
@@ -212,18 +213,18 @@ func main() {
 
 	if *events {
 		fmt.Println("\nadaptation events:")
-		for _, e := range res.Events {
+		for _, e := range recording.Adaptations() {
 			fmt.Println(" ", e)
 		}
 	}
 	if *jsonOut != "" {
 		writeOutput(*jsonOut, *force, "JSON", func(f io.Writer) error {
-			return trace.WriteRunJSON(f, trace.RunToJSON(res.Metrics, res.Records, res.Events))
+			return trace.WriteRunJSON(f, trace.RunToJSON(res.Metrics, recording.Events))
 		})
 	}
 	if *traceOut != "" {
-		writeOutput(*traceOut, *force, fmt.Sprintf("trace (%d rows)", len(res.Records)), func(f io.Writer) error {
-			return trace.WriteRecordsCSV(f, res.Records)
+		writeOutput(*traceOut, *force, fmt.Sprintf("trace (%d rows)", len(lat)), func(f io.Writer) error {
+			return trace.WriteRecordsCSV(f, recording.Events)
 		})
 	}
 	if *telOut != "" {
@@ -233,6 +234,16 @@ func main() {
 		writeOutput(*chrome, *force, "Chrome trace", rec.WriteChromeTrace)
 	}
 }
+
+// tee feeds one run's stream to two sinks, neither of which samples.
+type tee [2]core.Sink
+
+func (t tee) Emit(e trace.Event) {
+	t[0].Emit(e)
+	t[1].Emit(e)
+}
+
+func (t tee) SampleEvery() sim.Time { return 0 }
 
 // printTelemetrySummary renders the per-stage latency quantiles and
 // forecast accuracy the recorder collected during the run.

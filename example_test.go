@@ -1,9 +1,12 @@
 // The three walkthroughs README points to, as runnable examples: each
-// runs a complete simulation through core.Run and pins what it prints.
+// runs a complete simulation through core.Run, or through
+// core.RunObservedContext with a trace.Recording where it prints what
+// the run did, and pins what it prints.
 // Run one with `go test -run '^Example_quickstart$' -v .`.
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -31,7 +34,10 @@ func Example_quickstart() {
 		log.Fatal(err)
 	}
 
-	res, err := core.Run(core.DefaultConfig(), core.Predictive, []core.TaskSetup{setup})
+	// The recording keeps the run's observation stream: its adaptation
+	// actions and completed periods.
+	rec := &trace.Recording{}
+	res, err := core.RunObservedContext(context.Background(), core.DefaultConfig(), core.Predictive, []core.TaskSetup{setup}, rec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,13 +51,17 @@ func Example_quickstart() {
 	fmt.Printf("  combined performance metric C = %.1f\n\n", m.Combined())
 
 	fmt.Println("adaptation timeline:")
-	for _, e := range res.Events {
+	for _, e := range rec.Adaptations() {
 		fmt.Println("  ", e)
 	}
 	fmt.Println("\nper-period latency around the step:")
-	for _, r := range res.Records {
-		if r.Period >= 8 && r.Period <= 14 {
-			fmt.Printf("   %v\n", r)
+	for _, e := range rec.Events {
+		if e.Kind == trace.KindEndToEnd && e.Period >= 8 && e.Period <= 14 {
+			status := "met"
+			if e.Missed {
+				status = "MISSED"
+			}
+			fmt.Printf("   period %d: %d items, latency %v (%s)\n", e.Period, e.Value, e.Latency, status)
 		}
 	}
 	// Output:
@@ -90,16 +100,18 @@ func Example_fluctuating() {
 	fmt.Printf("triangular workload %d..%d tracks, %d periods, 2 cycles\n\n", minW, maxW, periods)
 
 	results := map[core.Algorithm]core.Result{}
+	recordings := map[core.Algorithm]*trace.Recording{}
 	for _, alg := range []core.Algorithm{core.Predictive, core.NonPredictive} {
 		setup, err := experiment.BenchmarkSetup(pattern)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := core.Run(core.DefaultConfig(), alg, []core.TaskSetup{setup})
+		rec := &trace.Recording{}
+		res, err := core.RunObservedContext(context.Background(), core.DefaultConfig(), alg, []core.TaskSetup{setup}, rec)
 		if err != nil {
 			log.Fatal(err)
 		}
-		results[alg] = res
+		results[alg], recordings[alg] = res, rec
 	}
 
 	fmt.Printf("%-22s %12s %15s\n", "metric", "predictive", "non-predictive")
@@ -119,7 +131,7 @@ func Example_fluctuating() {
 	for _, alg := range []core.Algorithm{core.Predictive, core.NonPredictive} {
 		// An Output block cannot hold trailing blanks, so idle trailing
 		// cells are trimmed.
-		fmt.Printf("  %-15s %s\n", alg, strings.TrimRight(sparkline(results[alg].Events, periods), " "))
+		fmt.Printf("  %-15s %s\n", alg, strings.TrimRight(sparkline(recordings[alg].Adaptations(), periods), " "))
 	}
 	fmt.Println("\nThe predictive algorithm reaches a lower combined metric by holding")
 	fmt.Println("fewer replicas: it adds capacity only until the forecast latency fits")
@@ -146,7 +158,7 @@ func Example_fluctuating() {
 }
 
 // sparkline buckets adaptation events into 4-period cells.
-func sparkline(events []trace.AdaptationEvent, periods int) string {
+func sparkline(events []*trace.AdaptationEvent, periods int) string {
 	const cell = 4
 	buckets := make([]int, (periods+cell-1)/cell)
 	for _, e := range events {
@@ -186,7 +198,8 @@ func Example_survivability() {
 	cfg := core.DefaultConfig()
 	cfg.Faults = []core.Fault{{Node: 2, At: 20300 * sim.Millisecond, Duration: 30 * sim.Second}}
 
-	res, err := core.Run(cfg, core.Predictive, []core.TaskSetup{setup})
+	rec := &trace.Recording{}
+	res, err := core.RunObservedContext(context.Background(), cfg, core.Predictive, []core.TaskSetup{setup}, rec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -198,7 +211,7 @@ func Example_survivability() {
 	fmt.Printf("  missed-deadline ratio (lost count as missed): %.1f%%\n\n", m.MissedPct())
 
 	fmt.Println("fail-over timeline:")
-	for _, e := range res.Events {
+	for _, e := range rec.Adaptations() {
 		switch e.Kind {
 		case trace.ActionNodeDown, trace.ActionNodeUp, trace.ActionFailover:
 			fmt.Printf("  t=%-9v %-10s stage=%d procs=%v\n", e.At, e.Kind, e.Stage, e.Procs)
@@ -207,8 +220,10 @@ func Example_survivability() {
 
 	fmt.Println("\nper-period completion around the crash:")
 	completedBy := map[int]bool{}
-	for _, r := range res.Records {
-		completedBy[r.Period] = true
+	for _, e := range rec.Events {
+		if e.Kind == trace.KindEndToEnd {
+			completedBy[int(e.Period)] = true
+		}
 	}
 	for c := 18; c <= 24; c++ {
 		status := "completed"
@@ -288,11 +303,5 @@ func stochastic() {
 	if m.MeanRecoveryMS > 0 {
 		fmt.Printf("  mean recovery (crash -> next met deadline): %.0f ms\n", m.MeanRecoveryMS)
 	}
-	var failovers int
-	for _, e := range res.Events {
-		if e.Kind == trace.ActionFailover {
-			failovers++
-		}
-	}
-	fmt.Printf("  fail-overs performed by the manager: %d\n", failovers)
+	fmt.Printf("  fail-overs performed by the manager: %d\n", res.Failovers)
 }

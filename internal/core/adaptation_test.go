@@ -11,7 +11,7 @@ import (
 
 func TestAdaptationOnlyAtPeriodBoundaries(t *testing.T) {
 	res := run(t, Predictive, workload.NewStep(500, 9000, 30, 10))
-	for _, e := range res.Events {
+	for _, e := range res.rec.Adaptations() {
 		if e.At%dynbench.Period != 0 {
 			t.Fatalf("adaptation at %v, not a period boundary", e.At)
 		}
@@ -28,7 +28,7 @@ func TestAllocFailureLogged(t *testing.T) {
 		t.Fatal("no allocation failures near saturation")
 	}
 	failEvents := 0
-	for _, e := range res.Events {
+	for _, e := range res.rec.Adaptations() {
 		if e.Kind == trace.ActionAllocFailure {
 			failEvents++
 		}
@@ -40,22 +40,18 @@ func TestAllocFailureLogged(t *testing.T) {
 
 func TestReplicaCountsNeverExceedNodes(t *testing.T) {
 	res := run(t, NonPredictive, workload.NewTriangular(500, 17500, 120, 2))
-	for _, r := range res.Records {
-		for i, st := range r.Stages {
-			if st.Replicas < 1 || st.Replicas > 6 {
-				t.Fatalf("period %d stage %d replicas = %d", r.Period, i, st.Replicas)
-			}
+	for _, st := range res.of(trace.KindStage) {
+		if st.Value < 1 || st.Value > 6 {
+			t.Fatalf("period %d stage %d replicas = %d", st.Period, st.Stage, st.Value)
 		}
 	}
 }
 
 func TestOnlyReplicableStagesEverReplicated(t *testing.T) {
 	res := run(t, NonPredictive, workload.NewTriangular(500, 14000, 120, 2))
-	for _, r := range res.Records {
-		for i, st := range r.Stages {
-			if i != dynbench.FilterStage && i != dynbench.EvalDecideStage && st.Replicas != 1 {
-				t.Fatalf("non-replicable stage %d ran %d replicas", i, st.Replicas)
-			}
+	for _, st := range res.of(trace.KindStage) {
+		if i := int(st.Stage); i != dynbench.FilterStage && i != dynbench.EvalDecideStage && st.Value != 1 {
+			t.Fatalf("non-replicable stage %d ran %d replicas", i, st.Value)
 		}
 	}
 }
@@ -91,7 +87,7 @@ func TestShutdownsFollowHighSlack(t *testing.T) {
 	// replicable stage.
 	res := run(t, Predictive, workload.NewTriangular(500, 12000, 60, 1))
 	var sawShutdownAfterPeak bool
-	for _, e := range res.Events {
+	for _, e := range res.rec.Adaptations() {
 		if e.Kind != trace.ActionShutdown {
 			continue
 		}
@@ -107,15 +103,28 @@ func TestShutdownsFollowHighSlack(t *testing.T) {
 	}
 }
 
+// TestProcessorDisciplineConfig runs the processor-sharing discipline
+// unobserved and with a recording sink: the sink sees its job waits
+// (the scheduler-level observer) and exec spans, and watching leaves the
+// metrics as they are.
 func TestProcessorDisciplineConfig(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Discipline = cpu.ProcessorSharing
-	res, err := Run(cfg, Predictive, []TaskSetup{benchSetup(workload.NewConstant(4000, 10))})
+	setup := benchSetup(workload.NewConstant(4000, 10))
+	res, err := Run(cfg, Predictive, []TaskSetup{setup})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Metrics.Completed != 10 {
 		t.Errorf("completed %d of 10 under processor sharing", res.Metrics.Completed)
+	}
+	observed := runRecorded(t, cfg, Predictive, setup)
+	if observed.Metrics != res.Metrics || observed.EventsFired != res.EventsFired {
+		t.Errorf("recording changed the run:\n got %+v\nwant %+v", observed.Metrics, res.Metrics)
+	}
+	waits, execs := len(observed.of(trace.KindJobWait)), len(observed.of(trace.KindExec))
+	if waits == 0 || execs == 0 || waits < execs {
+		t.Errorf("processor sharing streamed %d job waits and %d execs; want both, waits ≥ execs", waits, execs)
 	}
 }
 
@@ -126,7 +135,7 @@ func TestStaleWorkloadDrivesAllocator(t *testing.T) {
 	// one oversized reaction.
 	res := run(t, Predictive, workload.NewIncreasingRamp(500, 14000, 30))
 	periods := map[int]bool{}
-	for _, e := range res.Events {
+	for _, e := range res.rec.Adaptations() {
 		if e.Kind == trace.ActionReplicate && e.Stage == dynbench.FilterStage {
 			periods[e.Period] = true
 		}

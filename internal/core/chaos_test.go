@@ -25,20 +25,15 @@ func chaosTestCfg(seed uint64) Config {
 // the crash schedule, the message-loss stream, and every retransmission
 // are pure functions of the config seed.
 func TestChaosRunDeterministicPerSeed(t *testing.T) {
-	run := func(seed uint64) Result {
-		res, err := Run(chaosTestCfg(seed), Predictive,
-			[]TaskSetup{benchSetup(workload.NewTriangular(500, 8000, 40, 1))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	run := func(seed uint64) recorded {
+		return runRecorded(t, chaosTestCfg(seed), Predictive, benchSetup(workload.NewTriangular(500, 8000, 40, 1)))
 	}
 	a, b := run(7), run(7)
 	if !reflect.DeepEqual(a.Metrics, b.Metrics) {
 		t.Errorf("same seed, different metrics:\n%+v\n%+v", a.Metrics, b.Metrics)
 	}
-	if len(a.Events) != len(b.Events) {
-		t.Errorf("same seed, different event counts: %d vs %d", len(a.Events), len(b.Events))
+	if !reflect.DeepEqual(a.rec.Events, b.rec.Events) {
+		t.Errorf("same seed, different streams: %d vs %d events", len(a.rec.Events), len(b.rec.Events))
 	}
 	if a.Metrics.Crashes == 0 {
 		t.Error("20s MTBF over a 40s run produced no crashes — chaos schedule not wired in")
@@ -103,13 +98,10 @@ func TestCrashOfNewestReplicaFailsOver(t *testing.T) {
 	pattern := func() workload.Pattern { return workload.NewConstant(9000, 40) }
 
 	// Phase 1 (clean run): find where and when the first replica lands.
-	clean, err := Run(DefaultConfig(), Predictive, []TaskSetup{benchSetup(pattern())})
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := runRecorded(t, DefaultConfig(), Predictive, benchSetup(pattern()))
 	victim, stage := -1, -1
 	var at sim.Time
-	for _, e := range clean.Events {
+	for _, e := range clean.rec.Adaptations() {
 		if e.Kind == trace.ActionReplicate && len(e.Procs) > 0 {
 			victim, stage, at = e.Procs[len(e.Procs)-1], e.Stage, e.At
 			break
@@ -123,12 +115,9 @@ func TestCrashOfNewestReplicaFailsOver(t *testing.T) {
 	// after it was added and stays down.
 	cfg := DefaultConfig()
 	cfg.Faults = []Fault{{Node: victim, At: at + 2*sim.Second}}
-	res, err := Run(cfg, Predictive, []TaskSetup{benchSetup(pattern())})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runRecorded(t, cfg, Predictive, benchSetup(pattern()))
 	removed := false
-	for _, e := range res.Events {
+	for _, e := range res.rec.Adaptations() {
 		if e.Kind == trace.ActionFailover && e.Stage == stage &&
 			len(e.Procs) == 1 && e.Procs[0] == victim {
 			removed = true
@@ -150,14 +139,10 @@ func TestCrashOfNewestReplicaFailsOver(t *testing.T) {
 func TestMidPeriodRecoveryDoesNotResurrectWork(t *testing.T) {
 	cfg := faultCfg()
 	cfg.Faults[0].Duration = 400 * sim.Millisecond // recover at 10.6 s, mid-period 10
-	res, err := Run(cfg, Predictive,
-		[]TaskSetup{benchSetup(workload.NewConstant(5000, 40))})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runRecorded(t, cfg, Predictive, benchSetup(workload.NewConstant(5000, 40)))
 	seen := map[int]int{}
-	for _, r := range res.Records {
-		seen[r.Period]++
+	for _, e := range res.of(trace.KindEndToEnd) {
+		seen[int(e.Period)]++
 	}
 	for p, n := range seen {
 		if n > 1 {

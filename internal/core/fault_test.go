@@ -34,13 +34,9 @@ func TestFaultValidation(t *testing.T) {
 func TestSoleReplicaFailsOver(t *testing.T) {
 	// Low constant workload: no replication, so the crash takes out the
 	// only Filter process and fail-over must relocate it.
-	res, err := Run(faultCfg(), Predictive,
-		[]TaskSetup{benchSetup(workload.NewConstant(5000, 40))})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runRecorded(t, faultCfg(), Predictive, benchSetup(workload.NewConstant(5000, 40)))
 	var downs, ups, failovers int
-	for _, e := range res.Events {
+	for _, e := range res.rec.Adaptations() {
 		switch e.Kind {
 		case trace.ActionNodeDown:
 			downs++
@@ -55,6 +51,9 @@ func TestSoleReplicaFailsOver(t *testing.T) {
 	}
 	if failovers == 0 {
 		t.Fatal("no fail-over event despite losing the Filter node")
+	}
+	if res.Failovers != failovers {
+		t.Errorf("result counts %d fail-overs, stream carries %d", res.Failovers, failovers)
 	}
 	m := res.Metrics
 	// The in-flight instance at crash time is lost; everything after the
@@ -71,8 +70,8 @@ func TestSoleReplicaFailsOver(t *testing.T) {
 	// The relocated Filter keeps the pipeline alive through the outage:
 	// late periods all complete.
 	completedLate := 0
-	for _, r := range res.Records {
-		if r.Period >= 30 {
+	for _, e := range res.of(trace.KindEndToEnd) {
+		if e.Period >= 30 {
 			completedLate++
 		}
 	}
@@ -99,12 +98,8 @@ func TestReplicatedStageSurvivesCrash(t *testing.T) {
 func TestNoPlacementOnDeadNode(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Faults = []Fault{{Node: 5, At: 2 * sim.Second}} // node 5 is idle spare; permanent crash
-	res, err := Run(cfg, Predictive,
-		[]TaskSetup{benchSetup(workload.NewIncreasingRamp(500, 12000, 60))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range res.Events {
+	res := runRecorded(t, cfg, Predictive, benchSetup(workload.NewIncreasingRamp(500, 12000, 60)))
+	for _, e := range res.rec.Adaptations() {
 		if e.Kind != trace.ActionReplicate {
 			continue
 		}
@@ -122,13 +117,9 @@ func TestNoPlacementOnDeadNode(t *testing.T) {
 func TestRecoveredNodeReused(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Faults = []Fault{{Node: 5, At: 2 * sim.Second, Duration: 10 * sim.Second}}
-	res, err := Run(cfg, NonPredictive,
-		[]TaskSetup{benchSetup(workload.NewIncreasingRamp(500, 14000, 60))})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runRecorded(t, cfg, NonPredictive, benchSetup(workload.NewIncreasingRamp(500, 14000, 60)))
 	reused := false
-	for _, e := range res.Events {
+	for _, e := range res.rec.Adaptations() {
 		if e.Kind == trace.ActionReplicate && e.At > 12*sim.Second {
 			for _, p := range e.Procs {
 				if p == 5 {

@@ -12,11 +12,11 @@ import (
 // at launch; adaptation between periods changes only future instances.
 //
 // Instances are recycled through the owning runtimeTask's free list: the
-// slice storage survives across periods, so a steady-state period launch
-// allocates only the PeriodRecord (which the run result retains).
+// slice storage, the period record's included, survives across periods,
+// so a steady-state period launch allocates nothing.
 type instance struct {
 	rt  *runtimeTask
-	rec *task.PeriodRecord
+	rec task.PeriodRecord
 
 	placements [][]int // per stage
 	shares     [][]int // per stage, input items per replica (without halo)
@@ -123,8 +123,8 @@ func (tm *taskMsg) maybeFree() {
 
 // newInstance recycles an instance from rt's free list (resizing its
 // per-stage storage for the current replica counts) or builds a fresh
-// one. The PeriodRecord is always freshly allocated: the run result and
-// the monitor retain it beyond the instance's life.
+// one, and resets its period record. Nothing retains the record past
+// completion: the monitor's input is a copy (runtimeTask.lastRec).
 func (s *system) newInstance(rt *runtimeTask, c, items, n int) *instance {
 	now := s.eng.Now()
 	inst := rt.freeInst
@@ -136,6 +136,7 @@ func (s *system) newInstance(rt *runtimeTask, c, items, n int) *instance {
 			pendingJobs: make([]int, n),
 			pendingMsgs: make([][]int, n),
 			readyCount:  make([]int, n),
+			rec:         task.PeriodRecord{Stages: make([]task.StageObservation, n)},
 		}
 	} else {
 		rt.freeInst = inst.nextFree
@@ -143,12 +144,14 @@ func (s *system) newInstance(rt *runtimeTask, c, items, n int) *instance {
 	}
 	inst.rt = rt
 	inst.epoch = s.nodeEpoch
-	inst.rec = &task.PeriodRecord{
+	stages := inst.rec.Stages
+	clear(stages)
+	inst.rec = task.PeriodRecord{
 		Period:     c,
 		Items:      items,
 		ReleasedAt: now,
 		Deadline:   now + rt.setup.Spec.Deadline,
-		Stages:     make([]task.StageObservation, n),
+		Stages:     stages,
 	}
 	return inst
 }
@@ -156,7 +159,6 @@ func (s *system) newInstance(rt *runtimeTask, c, items, n int) *instance {
 func (s *system) releaseInstance(inst *instance) {
 	rt := inst.rt
 	inst.rt = nil
-	inst.rec = nil
 	inst.nextFree = rt.freeInst
 	rt.freeInst = inst
 }
@@ -384,12 +386,13 @@ func (s *system) msgArrived(inst *instance, stage, destIdx int, at sim.Time) {
 
 // complete finalizes the instance and feeds the monitor.
 func (s *system) complete(inst *instance) {
+	rt := inst.rt
 	inst.rec.CompletedAt = s.eng.Now()
-	inst.rt.inFlight--
+	rt.inFlight--
 	missed := inst.rec.Missed()
-	inst.rt.completed++
+	rt.completed++
 	if missed {
-		inst.rt.missed++
+		rt.missed++
 	}
 	s.collector.ObserveCompletion(missed)
 	if !missed && len(s.openCrashes) > 0 {
@@ -400,7 +403,6 @@ func (s *system) complete(inst *instance) {
 		}
 		s.openCrashes = s.openCrashes[:0]
 	}
-	s.records = append(s.records, inst.rec)
 	if s.sink != nil {
 		s.emitCompletion(inst)
 	}
@@ -408,9 +410,11 @@ func (s *system) complete(inst *instance) {
 	// a half-crashed world; with a staleness window configured, it does
 	// not become the adaptation input (the next clean period will).
 	tainted := s.cfg.Degradation.StalenessWindow > 0 && inst.epoch != s.nodeEpoch
-	last := inst.rt.lastCompleted
-	if !tainted && (last == nil || inst.rec.Period > last.Period) {
-		inst.rt.lastCompleted = inst.rec
+	if last := rt.lastCompleted; !tainted && (last == nil || inst.rec.Period > last.Period) {
+		stages := append(rt.lastRec.Stages[:0], inst.rec.Stages...)
+		rt.lastRec = inst.rec
+		rt.lastRec.Stages = stages
+		rt.lastCompleted = &rt.lastRec
 	}
 	// All jobs and messages of this period have finished; the instance
 	// can serve the next period.
@@ -421,7 +425,7 @@ func (s *system) complete(inst *instance) {
 // measured against the EQF sub-deadline the monitor holds now, then the
 // end-to-end KindEndToEnd.
 func (s *system) emitCompletion(inst *instance) {
-	rt, rec := inst.rt, inst.rec
+	rt, rec := inst.rt, &inst.rec
 	name := rt.setup.Spec.Name
 	now := s.eng.Now()
 	for i := range rec.Stages {
@@ -431,8 +435,8 @@ func (s *system) emitCompletion(inst *instance) {
 		}
 		s.sink.Emit(trace.Event{Kind: trace.KindStage, At: now, Task: name,
 			Stage: int32(i), Period: int32(rec.Period), Latency: rec.Stages[i].ExecLatency(),
-			Comm: comm, Deadline: rt.mon.SubtaskDeadline(i)})
+			Comm: comm, Deadline: rt.mon.SubtaskDeadline(i), Value: int64(rec.Stages[i].Replicas)})
 	}
 	s.sink.Emit(trace.Event{Kind: trace.KindEndToEnd, At: now, Task: name, Period: int32(rec.Period),
-		Latency: rec.EndToEnd(), Deadline: rt.setup.Spec.Deadline, Missed: rec.Missed()})
+		Latency: rec.EndToEnd(), Deadline: rt.setup.Spec.Deadline, Missed: rec.Missed(), Value: int64(rec.Items)})
 }

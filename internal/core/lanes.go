@@ -9,7 +9,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/network"
 	"repro/internal/sim"
-	"repro/internal/task"
 	"repro/internal/trace"
 )
 
@@ -58,11 +57,15 @@ func (ll *laneLinks) BroadcastItems(src, total int) {
 // Results are byte-identical for every Parallel value: within an epoch
 // lanes share nothing, and the barrier merges cross-lane deliveries in
 // the fixed (time, source lane, sequence) order. The final Result is
-// assembled from the per-lane systems by order-insensitive metric sums
-// and stable time-ordered merges of records and events.
+// assembled from the per-lane systems by order-insensitive metric sums.
+//
+// An observed run records each lane's stream in its own buffer and,
+// after the lanes drain, replays one merged stream into sink (see
+// mergeLaneStreams). A sink that asks for state samples is refused: a
+// sample is one view of the whole system, which no lane holds.
 func runLanes(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSetup, sink Sink) (Result, error) {
-	if sink != nil {
-		return Result{}, fmt.Errorf("core: observed runs do not support lane partitioning (Lanes=%d): per-lane streams cannot be merged", cfg.Lanes)
+	if sink != nil && sink.SampleEvery() > 0 {
+		return Result{}, fmt.Errorf("core: lane-partitioned runs (Lanes=%d) take no state samples: no lane holds the whole system", cfg.Lanes)
 	}
 	lanes := cfg.Lanes
 	laneSize := cfg.NumNodes / lanes // Validate guarantees divisibility
@@ -113,6 +116,10 @@ func runLanes(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSetup
 
 	link := &laneLinks{ls: ls, delay: delay}
 	systems := make([]*system, lanes)
+	var buffers []*trace.Recording
+	if sink != nil {
+		buffers = make([]*trace.Recording, lanes)
+	}
 	for l := 0; l < lanes; l++ {
 		lcfg := cfg
 		lcfg.NumNodes = laneSize
@@ -137,12 +144,16 @@ func runLanes(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSetup
 			sort.Slice(wins, func(i, j int) bool { return wins[i].Start < wins[j].Start })
 			lcfg.Network.Partitions = wins
 		}
-		sys, err := buildSystem(lcfg, alg, laneSetups[l], ls.Lane(l), laneFaults(faults, l, laneSize), nil)
+		var lsink Sink
+		if buffers != nil {
+			buffers[l] = &trace.Recording{}
+			lsink = buffers[l]
+		}
+		sys, err := buildSystem(lcfg, alg, laneSetups[l], ls.Lane(l), laneFaults(faults, l, laneSize), lsink)
 		if err != nil {
 			return Result{}, err
 		}
 		sys.laneID = l
-		sys.laneBase = l * laneSize
 		sys.uplink = link
 		sys.remoteItems = make([]int, lanes)
 		systems[l] = sys
@@ -162,45 +173,61 @@ func runLanes(ctx context.Context, cfg Config, alg Algorithm, setups []TaskSetup
 	if err := ls.Run(workers, poll); err != nil {
 		return Result{}, err
 	}
-
-	return mergeLaneResults(ls, systems), nil
+	if sink != nil {
+		for _, e := range mergeLaneStreams(buffers, laneSize) {
+			sink.Emit(e)
+		}
+	}
+	return mergeLaneResults(systems), nil
 }
 
-// mergeLaneResults assembles one Result from the drained lanes in the
-// deterministic merge order: metrics by order-insensitive sums, records
-// and events by stable sort on completion/action time with lane index
-// breaking ties (concatenation order is lane order).
-func mergeLaneResults(ls *sim.LaneSet, systems []*system) Result {
+// mergeLaneResults assembles one Result from the drained lanes by
+// order-insensitive sums of metrics and counters.
+func mergeLaneResults(systems []*system) Result {
 	base := systems[0]
-	base.collector.CountDropped(int(base.seg.Dropped()))
-	for _, sys := range systems[1:] {
+	var res Result
+	for i, sys := range systems {
 		sys.collector.CountDropped(int(sys.seg.Dropped()))
-		base.collector.Absorb(sys.collector)
-	}
-
-	var records []*task.PeriodRecord
-	var events []trace.AdaptationEvent
-	var fired uint64
-	for _, sys := range systems {
-		records = append(records, sys.records...)
-		for _, e := range sys.events {
-			// Lanes log local node IDs; report global ones.
-			for i := range e.Procs {
-				e.Procs[i] += sys.laneBase
-			}
-			events = append(events, e)
+		if i > 0 {
+			base.collector.Absorb(sys.collector)
 		}
-		fired += sys.eng.EventsFired()
+		res.EventsFired += sys.eng.EventsFired()
+		res.Failovers += sys.failovers
 	}
-	sort.SliceStable(records, func(i, j int) bool { return records[i].CompletedAt < records[j].CompletedAt })
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
+	res.Metrics = base.collector.Finish()
+	return res
+}
 
-	return Result{
-		Metrics:     base.collector.Finish(),
-		Records:     records,
-		Events:      events,
-		EventsFired: fired,
+// mergeLaneStreams merges the lanes' recorded streams into one, in the
+// deterministic merge order: a stable sort on At over the lanes
+// concatenated in index order, so equal times keep lane order and, within
+// a lane, emission order. Lanes emit local node ids; the merged stream
+// carries global ones.
+func mergeLaneStreams(buffers []*trace.Recording, laneSize int) []trace.Event {
+	var out []trace.Event
+	for l, b := range buffers {
+		base := l * laneSize
+		for _, e := range b.Events {
+			switch e.Kind {
+			case trace.KindExec, trace.KindJobWait, trace.KindProcUtil:
+				e.Proc += int32(base)
+			case trace.KindMessage:
+				e.Proc += int32(base)
+				e.From += int32(base)
+			case trace.KindAdaptation:
+				for i := range e.Action.Procs {
+					e.Action.Procs[i] += base
+				}
+				switch e.Action.Kind {
+				case trace.ActionNodeDown, trace.ActionNodeUp, trace.ActionFailover, trace.ActionShutdown:
+					e.Value += int64(base) // the node acted on
+				}
+			}
+			out = append(out, e)
+		}
 	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	return out
 }
 
 // laneOf returns the lane owning a task. With explicit Homes every home

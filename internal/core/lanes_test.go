@@ -10,6 +10,7 @@ import (
 	"repro/internal/regress"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -52,17 +53,20 @@ func lanePattern(i int) workload.Pattern {
 	}
 }
 
-// resultFingerprint serializes everything a Result exposes, byte for
-// byte: metrics, every period record (including stage observations),
-// every adaptation event, and the run counters.
-func resultFingerprint(res Result) string {
+// resultFingerprint serializes everything a run exposes, byte for byte:
+// the Result (metrics and run counters) and every event of the merged
+// observation stream, adaptation actions included.
+func resultFingerprint(res recorded) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "metrics=%+v\nfired=%d\n", res.Metrics, res.EventsFired)
-	for _, r := range res.Records {
-		fmt.Fprintf(&b, "rec %d %d %d %d %d %+v\n", r.Period, r.Items, r.ReleasedAt, r.CompletedAt, r.Deadline, r.Stages)
-	}
-	for _, e := range res.Events {
-		fmt.Fprintf(&b, "ev %d %s\n", e.At, e.String())
+	fmt.Fprintf(&b, "%+v\n", res.Result)
+	for _, e := range res.rec.Events {
+		a := e.Action
+		e.Action = nil
+		fmt.Fprintf(&b, "%+v", e)
+		if a != nil {
+			fmt.Fprintf(&b, " %+v", *a)
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }
@@ -107,14 +111,8 @@ func TestLaneSerialParallelByteIdentical(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/lanes=%d/chaos=%v", alg, lanes, chaosOn), func(t *testing.T) {
 					t.Parallel()
 					setups := laneTestSetups(2 * maxInt(lanes, 1))
-					serial, err := Run(laneTestConfig(lanes, 1, chaosOn), alg, setups)
-					if err != nil {
-						t.Fatal(err)
-					}
-					parallel, err := Run(laneTestConfig(lanes, lanes, chaosOn), alg, setups)
-					if err != nil {
-						t.Fatal(err)
-					}
+					serial := runRecorded(t, laneTestConfig(lanes, 1, chaosOn), alg, setups...)
+					parallel := runRecorded(t, laneTestConfig(lanes, lanes, chaosOn), alg, setups...)
 					sf, pf := resultFingerprint(serial), resultFingerprint(parallel)
 					if sf != pf {
 						sh, ph := head(sf, pf)
@@ -167,14 +165,8 @@ func TestLaneGlobalWorkloadPropagates(t *testing.T) {
 	// Fatten lane 1's tasks (indices 1 and 3) only.
 	b[1].Pattern = workload.NewConstant(9000, 6)
 	b[3].Pattern = workload.NewConstant(9000, 6)
-	ra, err := Run(cfg, Predictive, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := Run(cfg, Predictive, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra := runRecorded(t, cfg, Predictive, a...)
+	rb := runRecorded(t, cfg, Predictive, b...)
 	// Lane 0's tasks are identical in both runs; if its records still
 	// match exactly, the uplink reports never reached lane 0's manager.
 	fa, fb := resultFingerprint(ra), resultFingerprint(rb)
@@ -192,8 +184,9 @@ func TestLaneConfigErrors(t *testing.T) {
 	}
 
 	cfg = laneTestConfigDefaultChaos(2, 0)
-	if _, err := RunObservedContext(context.Background(), cfg, Predictive, setups, telemetry.New()); err == nil {
-		t.Error("no error for a sink with lanes")
+	sampling := testSink{every: sim.Second, emit: func(trace.Event) {}}
+	if _, err := RunObservedContext(context.Background(), cfg, Predictive, setups, sampling); err == nil {
+		t.Error("no error for a sampling sink with lanes")
 	}
 
 	cfg = laneTestConfigDefaultChaos(2, 0)
@@ -222,12 +215,9 @@ func TestLaneFaultsAreNodeKeyed(t *testing.T) {
 		cfg := laneTestConfig(lanes, 1, true)
 		cfg.Network.DropProb = 0 // isolate node faults
 		cfg.Chaos.PartitionMTBF, cfg.Chaos.PartitionMTTR = 0, 0
-		res, err := Run(cfg, Predictive, laneTestSetups(2*maxInt(lanes, 1)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runRecorded(t, cfg, Predictive, laneTestSetups(2*maxInt(lanes, 1))...)
 		var downs []string
-		for _, e := range res.Events {
+		for _, e := range res.rec.Adaptations() {
 			if e.Kind == "node-down" {
 				downs = append(downs, fmt.Sprintf("%d@%d", e.Procs[0], e.At))
 			}
@@ -243,5 +233,79 @@ func TestLaneFaultsAreNodeKeyed(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(base) {
 			t.Errorf("lanes=%d crash schedule %v, want %v (node-keyed streams)", lanes, got, base)
 		}
+	}
+}
+
+// TestLaneStreamMerged: an observed lane run delivers one stream in time
+// order whose node ids are global (each task's spans and actions stay
+// in its lane's node block, and an action's node Value is its last
+// node), carrying every completion and replication the metrics count.
+// A non-sampling consumer such as the telemetry recorder takes it whole.
+func TestLaneStreamMerged(t *testing.T) {
+	const lanes, laneSize = 4, 12
+	cfg := laneTestConfig(lanes, 0, false)
+	cfg.Faults = []Fault{{Node: 14, At: 5 * sim.Second, Duration: 5 * sim.Second}, {Node: 38, At: 8 * sim.Second}}
+	setups := make([]TaskSetup, 2*lanes)
+	for i := range setups {
+		setups[i] = laneBenchSetup(i, workload.NewTriangular(500, 9000, 20, 1))
+	}
+	res := runRecorded(t, cfg, Predictive, setups...)
+	laneOfTask := map[string]int{}
+	for i, s := range setups {
+		laneOfTask[s.Spec.Name] = i % lanes
+	}
+	inLane := func(e trace.Event, node int) {
+		if l := laneOfTask[e.Task]; node < l*laneSize || node >= (l+1)*laneSize {
+			t.Errorf("kind %d event of task %s (lane %d) names node %d", e.Kind, e.Task, l, node)
+		}
+	}
+	var completions, replicas int64
+	for i, e := range res.rec.Events {
+		if i > 0 && e.At < res.rec.Events[i-1].At {
+			t.Fatalf("event %d at %v precedes its predecessor at %v", i, e.At, res.rec.Events[i-1].At)
+		}
+		switch e.Kind {
+		case trace.KindExec:
+			inLane(e, int(e.Proc))
+		case trace.KindMessage:
+			inLane(e, int(e.Proc))
+			inLane(e, int(e.From))
+		case trace.KindEndToEnd:
+			completions++
+		case trace.KindAdaptation:
+			a := e.Action
+			if e.Task != "-" {
+				for _, p := range a.Procs {
+					inLane(e, p)
+				}
+			}
+			switch a.Kind {
+			case trace.ActionReplicate:
+				replicas += e.Value
+			case trace.ActionNodeDown, trace.ActionNodeUp, trace.ActionFailover, trace.ActionShutdown:
+				if e.Value != int64(a.Procs[len(a.Procs)-1]) {
+					t.Errorf("%s names node %d, its nodes are %v", a.Kind, e.Value, a.Procs)
+				}
+			}
+		}
+	}
+	if completions != int64(res.Metrics.Completed) || replicas != int64(res.Metrics.Replications) {
+		t.Errorf("stream carried %d completions and %d replicas; metrics count %d and %d",
+			completions, replicas, res.Metrics.Completed, res.Metrics.Replications)
+	}
+	if res.Metrics.Crashes == 0 || replicas == 0 {
+		t.Fatalf("degenerate run: no crashes or no replication to check: %+v", res.Metrics)
+	}
+
+	rec := telemetry.New()
+	if _, err := RunObservedContext(context.Background(), cfg, Predictive, setups, rec); err != nil {
+		t.Fatal(err)
+	}
+	var instances uint64
+	for _, tk := range rec.Snapshot().Tasks {
+		instances += tk.Instances
+	}
+	if instances != uint64(completions) {
+		t.Errorf("telemetry counted %d instances, the stream %d", instances, completions)
 	}
 }

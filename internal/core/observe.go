@@ -86,14 +86,16 @@ func (s *system) captureSample() *trace.Sample {
 	return o
 }
 
-// adaptation records one adaptation action in the run result and emits
-// it on the stream, where value is its magnitude (replicas added, items
-// shed, or the node acted on).
-func (s *system) adaptation(e trace.AdaptationEvent, value int64) {
-	e.At = s.eng.Now()
-	s.events = append(s.events, e)
-	if s.sink != nil {
-		s.sink.Emit(trace.Event{Kind: trace.KindAdaptation, At: e.At, Task: e.Task,
-			Stage: int32(e.Stage), Period: int32(e.Period), Action: e.Kind, Value: value})
+// adaptation emits one adaptation action on the stream: its kind, the
+// period, task and stage it acted on, its magnitude value (replicas
+// added, items shed, or the node acted on) and the nodes involved. An
+// unobserved run builds nothing.
+func (s *system) adaptation(kind trace.ActionKind, c int, task string, stage int, value int64, procs ...int) {
+	if s.sink == nil {
+		return
 	}
+	e := &trace.AdaptationEvent{At: s.eng.Now(), Period: c, Task: task, Stage: stage, Kind: kind,
+		Procs: append([]int(nil), procs...)}
+	s.sink.Emit(trace.Event{Kind: trace.KindAdaptation, At: e.At, Task: task,
+		Stage: int32(stage), Period: int32(c), Action: e, Value: value})
 }

@@ -20,9 +20,10 @@ func (t testSink) Emit(e trace.Event)    { t.emit(e) }
 func (t testSink) SampleEvery() sim.Time { return t.every }
 
 // TestObservedRunMatchesUnobserved proves the sink watches without
-// shaping: the same spec run with and without a sampling sink yields
-// identical metrics, period records and adaptation events. (EventsFired
-// legitimately differs — the sample events themselves fire.)
+// shaping: a sampling and a non-sampling sink see the same stream, event
+// for event, apart from the samples, and both runs' metrics equal the
+// unobserved run's. (EventsFired legitimately differs — the sample
+// events themselves fire.)
 func TestObservedRunMatchesUnobserved(t *testing.T) {
 	cfg := DefaultConfig()
 	setups := []TaskSetup{benchSetup(workload.NewTriangular(500, 9000, 30, 1))}
@@ -30,42 +31,43 @@ func TestObservedRunMatchesUnobserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[trace.Kind]int{}
-	var adaptations []trace.Event
+	var sampled []trace.Event
+	samples := 0
 	observed, err := RunObservedContext(context.Background(), cfg, Predictive, setups, testSink{
 		every: 100 * sim.Millisecond,
 		emit: func(e trace.Event) {
-			kinds[e.Kind]++
-			if e.Kind == trace.KindAdaptation {
-				adaptations = append(adaptations, e)
+			if e.Kind == trace.KindSample {
+				samples++
+				return
 			}
+			sampled = append(sampled, e)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kinds[trace.KindSample] == 0 {
+	if samples == 0 {
 		t.Fatal("sink never sampled")
 	}
-	if !reflect.DeepEqual(plain.Metrics, observed.Metrics) {
-		t.Errorf("observed run drifted from unobserved:\n got %+v\nwant %+v", observed.Metrics, plain.Metrics)
-	}
-	if !reflect.DeepEqual(plain.Records, observed.Records) || !reflect.DeepEqual(plain.Events, observed.Events) {
-		t.Errorf("observed run's period records or adaptation events differ from unobserved")
-	}
-	// The stream carries every completion and every adaptation the
-	// result holds, once each.
-	if kinds[trace.KindEndToEnd] != len(plain.Records) {
-		t.Errorf("stream carried %d completions, result holds %d", kinds[trace.KindEndToEnd], len(plain.Records))
-	}
-	if len(adaptations) != len(plain.Events) || len(plain.Events) == 0 {
-		t.Fatalf("stream carried %d adaptations, result holds %d (want equal, > 0)", len(adaptations), len(plain.Events))
-	}
-	for i, e := range plain.Events {
-		a := adaptations[i]
-		if a.At != e.At || a.Action != e.Kind || int(a.Stage) != e.Stage || int(a.Period) != e.Period || a.Task != e.Task {
-			t.Errorf("adaptation %d: stream %+v, result %+v", i, a, e)
+	recorded := runRecorded(t, cfg, Predictive, setups...)
+	for _, res := range []Result{observed, recorded.Result} {
+		if !reflect.DeepEqual(plain.Metrics, res.Metrics) {
+			t.Errorf("observed run drifted from unobserved:\n got %+v\nwant %+v", res.Metrics, plain.Metrics)
 		}
+	}
+	if recorded.EventsFired != plain.EventsFired || recorded.Failovers != plain.Failovers {
+		t.Errorf("recording changed the run's counters: %+v, want %+v", recorded.Result, plain)
+	}
+	if !reflect.DeepEqual(sampled, recorded.rec.Events) {
+		t.Errorf("sampling and non-sampling sinks saw different streams (%d vs %d events)", len(sampled), len(recorded.rec.Events))
+	}
+	kinds := map[trace.Kind]int{}
+	for _, e := range sampled {
+		kinds[e.Kind]++
+	}
+	if kinds[trace.KindEndToEnd] != plain.Metrics.Completed || kinds[trace.KindAdaptation] == 0 {
+		t.Errorf("stream carried %d completions (result %d) and %d adaptations (want > 0)",
+			kinds[trace.KindEndToEnd], plain.Metrics.Completed, kinds[trace.KindAdaptation])
 	}
 	for _, k := range []trace.Kind{trace.KindExec, trace.KindJobWait, trace.KindMessage, trace.KindStage,
 		trace.KindForecast, trace.KindForecastEval, trace.KindProcUtil, trace.KindNetUtil} {

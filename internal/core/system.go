@@ -30,10 +30,8 @@ type system struct {
 	collector *metrics.Collector
 	sink      Sink // nil for an unobserved run
 
-	// records and events are the run result's period records and
-	// adaptation actions, in completion and action order.
-	records []*task.PeriodRecord
-	events  []trace.AdaptationEvent
+	// failovers counts fail-over actions for Result.Failovers.
+	failovers int
 
 	sysMeters []*cpu.Meter
 	netMeter  *network.Meter
@@ -56,13 +54,12 @@ type system struct {
 
 	tasks []*runtimeTask
 
-	// Lane coupling; all zero/nil on a single-segment run. laneID and
-	// laneBase place this segment inside a lane-partitioned run (local
-	// node n is global node laneBase+n), uplink carries the per-segment
-	// workload reports to the other lanes, and remoteItems holds the
-	// latest report received from each lane (own entry stays 0).
+	// Lane coupling; all zero/nil on a single-segment run. laneID places
+	// this segment inside a lane-partitioned run, uplink carries the
+	// per-segment workload reports to the other lanes, and remoteItems
+	// holds the latest report received from each lane (own entry stays
+	// 0).
 	laneID      int
-	laneBase    int
 	uplink      laneUplink
 	remoteItems []int
 
@@ -106,7 +103,12 @@ type runtimeTask struct {
 	// Degradation.FallbackUtil is set; nil otherwise.
 	unknown []bool
 
+	// lastCompleted is the newest untainted completed period, the
+	// monitor's only input (Figure 5 reads the last period, not a
+	// history): nil until the first, then lastRec, into which completion
+	// copies, reusing its Stages storage.
 	lastCompleted *task.PeriodRecord
+	lastRec       task.PeriodRecord
 	inFlight      int
 	// completed/missed count this task's finished instances for the
 	// observation hook (the collector aggregates across tasks).
@@ -336,9 +338,8 @@ func (s *system) finish() Result {
 	s.collector.CountDropped(int(s.seg.Dropped()))
 	return Result{
 		Metrics:     s.collector.Finish(),
-		Records:     s.records,
-		Events:      s.events,
 		EventsFired: s.eng.EventsFired(),
+		Failovers:   s.failovers,
 	}
 }
 
@@ -374,10 +375,7 @@ func (s *system) failNode(n int) {
 	s.collector.CountCrash()
 	s.openCrashes = append(s.openCrashes, s.eng.Now())
 	s.procs[n].Fail()
-	s.adaptation(trace.AdaptationEvent{
-		Period: int(s.eng.Now() / sim.Second), Task: "-",
-		Stage: -1, Kind: trace.ActionNodeDown, Procs: []int{n},
-	}, int64(n))
+	s.adaptation(trace.ActionNodeDown, int(s.eng.Now()/sim.Second), "-", -1, int64(n), n)
 }
 
 // recoverNode brings a crashed node back empty.
@@ -391,10 +389,7 @@ func (s *system) recoverNode(n int) {
 	s.lastTransition = s.eng.Now()
 	s.collector.CountRecovery()
 	s.procs[n].Recover()
-	s.adaptation(trace.AdaptationEvent{
-		Period: int(s.eng.Now() / sim.Second), Task: "-",
-		Stage: -1, Kind: trace.ActionNodeUp, Procs: []int{n},
-	}, int64(n))
+	s.adaptation(trace.ActionNodeUp, int(s.eng.Now()/sim.Second), "-", -1, int64(n), n)
 }
 
 // repairPlacements is the fail-over step run at each monitoring cycle:
@@ -409,10 +404,8 @@ func (s *system) repairPlacements(rt *runtimeTask, c int) {
 			}
 			if rt.dep.RemoveProcessor(stage, proc) {
 				s.collector.CountShutdown()
-				s.adaptation(trace.AdaptationEvent{
-					Period: c, Task: rt.setup.Spec.Name, Stage: stage,
-					Kind: trace.ActionFailover, Procs: []int{proc},
-				}, int64(proc))
+				s.failovers++
+				s.adaptation(trace.ActionFailover, c, rt.setup.Spec.Name, stage, int64(proc), proc)
 				continue
 			}
 			// Sole replica: relocate to the least-utilized live node
@@ -430,10 +423,8 @@ func (s *system) repairPlacements(rt *runtimeTask, c int) {
 				continue // no live node available; the stage stays dark
 			}
 			if err := rt.dep.ReplaceProcessor(stage, proc, best); err == nil {
-				s.adaptation(trace.AdaptationEvent{
-					Period: c, Task: rt.setup.Spec.Name, Stage: stage,
-					Kind: trace.ActionFailover, Procs: []int{proc, best},
-				}, int64(best))
+				s.failovers++
+				s.adaptation(trace.ActionFailover, c, rt.setup.Spec.Name, stage, int64(best), proc, best)
 			}
 		}
 	}
@@ -652,9 +643,7 @@ func (s *system) runPeriod(rt *runtimeTask, c int) {
 		if dec.Skip {
 			skip = true
 			s.collector.CountStretchedPeriod()
-			s.adaptation(trace.AdaptationEvent{
-				Period: c, Task: rt.setup.Spec.Name, Stage: -1, Kind: trace.ActionStretch,
-			}, 1)
+			s.adaptation(trace.ActionStretch, c, rt.setup.Spec.Name, -1, 1)
 		} else {
 			launchItems = dec.LaunchItems
 			if launchItems > items {
@@ -665,9 +654,7 @@ func (s *system) runPeriod(rt *runtimeTask, c int) {
 			}
 			if shed := items - launchItems; shed > 0 {
 				s.collector.CountShedItems(shed)
-				s.adaptation(trace.AdaptationEvent{
-					Period: c, Task: rt.setup.Spec.Name, Stage: -1, Kind: trace.ActionShed,
-				}, int64(shed))
+				s.adaptation(trace.ActionShed, c, rt.setup.Spec.Name, -1, int64(shed))
 			}
 		}
 	}
@@ -753,21 +740,19 @@ func (s *system) adapt(rt *runtimeTask, c, items int, analysis monitor.Analysis)
 	changed := false
 	for _, stage := range analysis.Replicate {
 		env.SubtaskDeadline = window(stage)
-		before := rt.dep.Replicas(stage)
+		before := rt.dep.ReplicaCount(stage)
 		added, ok := rt.alloc.Replicate(rt.dep, stage, env)
 		if added > 0 {
 			changed = true
 			s.collector.CountReplications(added)
-			s.adaptation(trace.AdaptationEvent{
-				Period: c, Task: rt.setup.Spec.Name, Stage: stage,
-				Kind: trace.ActionReplicate, Procs: newProcs(before, rt.dep.Replicas(stage)),
-			}, int64(added))
+			// Replication appends to PS(st), so the new replicas are
+			// its tail.
+			rt.replScratch = rt.dep.AppendReplicas(stage, rt.replScratch[:0])
+			s.adaptation(trace.ActionReplicate, c, rt.setup.Spec.Name, stage, int64(added), rt.replScratch[before:]...)
 		}
 		if !ok {
 			s.collector.CountAllocFailure()
-			s.adaptation(trace.AdaptationEvent{
-				Period: c, Task: rt.setup.Spec.Name, Stage: stage, Kind: trace.ActionAllocFailure,
-			}, 0)
+			s.adaptation(trace.ActionAllocFailure, c, rt.setup.Spec.Name, stage, 0)
 		}
 	}
 	for _, stage := range analysis.Shutdown {
@@ -778,10 +763,7 @@ func (s *system) adapt(rt *runtimeTask, c, items int, analysis monitor.Analysis)
 		if proc, ok := manager.ShutDownAReplica(rt.dep, stage); ok {
 			changed = true
 			s.collector.CountShutdown()
-			s.adaptation(trace.AdaptationEvent{
-				Period: c, Task: rt.setup.Spec.Name, Stage: stage,
-				Kind: trace.ActionShutdown, Procs: []int{proc},
-			}, int64(proc))
+			s.adaptation(trace.ActionShutdown, c, rt.setup.Spec.Name, stage, int64(proc), proc)
 		}
 	}
 	if changed {
@@ -790,24 +772,6 @@ func (s *system) adapt(rt *runtimeTask, c, items int, analysis monitor.Analysis)
 			rt.mon.SetAssignment(a)
 		}
 	}
-}
-
-// newProcs returns the processors present in after but not before.
-func newProcs(before, after []int) []int {
-	var out []int
-	for _, p := range after {
-		found := false
-		for _, q := range before {
-			if q == p {
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func clamp01(v float64) float64 {

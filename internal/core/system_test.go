@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/dynbench"
@@ -34,13 +36,38 @@ func benchSetup(pattern workload.Pattern) TaskSetup {
 	}
 }
 
-func run(t *testing.T, alg Algorithm, pattern workload.Pattern) Result {
+// recorded is a run's result beside its recorded observation stream,
+// the one record of what the run did.
+type recorded struct {
+	Result
+	rec *trace.Recording
+}
+
+// of returns the recorded events of kind k in stream order.
+func (r recorded) of(k trace.Kind) []trace.Event {
+	var out []trace.Event
+	for _, e := range r.rec.Events {
+		if e.Kind == k {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// runRecorded runs setups under cfg with a recording sink.
+func runRecorded(t testing.TB, cfg Config, alg Algorithm, setups ...TaskSetup) recorded {
 	t.Helper()
-	res, err := Run(DefaultConfig(), alg, []TaskSetup{benchSetup(pattern)})
+	rec := &trace.Recording{}
+	res, err := RunObservedContext(context.Background(), cfg, alg, setups, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return recorded{res, rec}
+}
+
+func run(t *testing.T, alg Algorithm, pattern workload.Pattern) recorded {
+	t.Helper()
+	return runRecorded(t, DefaultConfig(), alg, benchSetup(pattern))
 }
 
 func TestLowConstantWorkloadNoAdaptation(t *testing.T) {
@@ -72,8 +99,8 @@ func TestStepWorkloadTriggersPredictiveReplication(t *testing.T) {
 	// After adaptation settles, instances meet their deadlines: the tail
 	// of the run must be clean.
 	missedLate := 0
-	for _, r := range res.Records {
-		if r.Period >= 15 && r.Missed() {
+	for _, e := range res.of(trace.KindEndToEnd) {
+		if e.Period >= 15 && e.Missed {
 			missedLate++
 		}
 	}
@@ -81,7 +108,7 @@ func TestStepWorkloadTriggersPredictiveReplication(t *testing.T) {
 		t.Errorf("%d misses after adaptation settled", missedLate)
 	}
 	// The replicate events must target the replicable stages only.
-	for _, e := range res.Events {
+	for _, e := range res.rec.Adaptations() {
 		if e.Kind == trace.ActionReplicate &&
 			e.Stage != dynbench.FilterStage && e.Stage != dynbench.EvalDecideStage {
 			t.Errorf("replicated non-replicable stage %d", e.Stage)
@@ -122,13 +149,8 @@ func TestDeterministicRuns(t *testing.T) {
 	if a.Metrics != b.Metrics {
 		t.Errorf("same-seed runs diverged:\n%+v\n%+v", a.Metrics, b.Metrics)
 	}
-	if len(a.Records) != len(b.Records) {
-		t.Fatal("record counts diverged")
-	}
-	for i := range a.Records {
-		if a.Records[i].EndToEnd() != b.Records[i].EndToEnd() {
-			t.Fatalf("record %d latency diverged", i)
-		}
+	if !reflect.DeepEqual(a.rec.Events, b.rec.Events) {
+		t.Fatal("same-seed observation streams diverged")
 	}
 }
 
@@ -136,14 +158,11 @@ func TestSeedChangesOutcomeDetails(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 99
 	pattern := workload.NewTriangular(500, 9000, 30, 1)
-	a, err := Run(cfg, Predictive, []TaskSetup{benchSetup(pattern)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := run(t, Predictive, pattern)
+	a := runRecorded(t, cfg, Predictive, benchSetup(pattern)).of(trace.KindEndToEnd)
+	b := run(t, Predictive, pattern).of(trace.KindEndToEnd)
 	same := true
-	for i := range a.Records {
-		if i >= len(b.Records) || a.Records[i].EndToEnd() != b.Records[i].EndToEnd() {
+	for i := range a {
+		if i >= len(b) || a[i].Latency != b[i].Latency {
 			same = false
 			break
 		}
@@ -245,24 +264,44 @@ func TestZeroWorkloadPeriods(t *testing.T) {
 	}
 }
 
+// TestRecordsCarryStageObservations: every completed period reaches the
+// stream as its stages, in order, then its end-to-end record, at one
+// instant; each stage's execution and outgoing-message latencies are
+// non-negative (the final stage has no message) and together fit inside
+// the end-to-end latency.
 func TestRecordsCarryStageObservations(t *testing.T) {
 	res := run(t, Predictive, workload.NewConstant(3000, 5))
-	for _, r := range res.Records {
-		if len(r.Stages) != 5 {
-			t.Fatalf("record has %d stages", len(r.Stages))
-		}
-		var sum sim.Time
-		for i, st := range r.Stages {
-			if st.DoneAt < st.ReadyAt {
-				t.Errorf("period %d stage %d done before ready", r.Period, i)
+	var stages []trace.Event
+	completions := 0
+	for _, e := range res.rec.Events {
+		switch e.Kind {
+		case trace.KindStage:
+			stages = append(stages, e)
+		case trace.KindEndToEnd:
+			completions++
+			if len(stages) != 5 {
+				t.Fatalf("period %d has %d stages", e.Period, len(stages))
 			}
-			if st.DeliveredAt < st.DoneAt {
-				t.Errorf("period %d stage %d delivered before done", r.Period, i)
+			var sum sim.Time
+			for i, st := range stages {
+				if int(st.Stage) != i || st.Period != e.Period || st.At != e.At || st.Value < 1 {
+					t.Errorf("period %d stage %d: %+v", e.Period, i, st)
+				}
+				if st.Latency < 0 {
+					t.Errorf("period %d stage %d done before ready", e.Period, i)
+				}
+				if (i < 4 && st.Comm < 0) || (i == 4 && st.Comm >= 0) {
+					t.Errorf("period %d stage %d comm latency %v", e.Period, i, st.Comm)
+				}
+				sum += st.Latency + max(st.Comm, 0)
 			}
-			sum += st.ExecLatency() + st.CommLatency()
+			if sum > e.Latency+sim.Millisecond {
+				t.Errorf("stage latencies %v exceed end-to-end %v", sum, e.Latency)
+			}
+			stages = stages[:0]
 		}
-		if sum > r.EndToEnd()+sim.Millisecond {
-			t.Errorf("stage latencies %v exceed end-to-end %v", sum, r.EndToEnd())
-		}
+	}
+	if completions != 5 {
+		t.Errorf("stream carried %d completions, want 5", completions)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/resil"
-	"repro/internal/trace"
 )
 
 // This file is the cross-experiment run scheduler. Every simulation an
@@ -36,7 +35,7 @@ import (
 // they are large, and no batch experiment consumes them.
 type RunOutcome struct {
 	Metrics metrics.RunMetrics `json:"metrics"`
-	// Failovers counts trace.ActionFailover adaptation events (ext-faults).
+	// Failovers counts the run's fail-over actions (ext-faults).
 	Failovers int `json:"failovers"`
 	// EventsFired is the engine's determinism fingerprint.
 	EventsFired uint64 `json:"events_fired"`
@@ -422,11 +421,5 @@ func simulate(ctx context.Context, cfg core.Config, alg core.Algorithm, setups [
 	if err != nil {
 		return RunOutcome{}, err
 	}
-	out := RunOutcome{Metrics: res.Metrics, EventsFired: res.EventsFired}
-	for _, ev := range res.Events {
-		if ev.Kind == trace.ActionFailover {
-			out.Failovers++
-		}
-	}
-	return out, nil
+	return RunOutcome{Metrics: res.Metrics, EventsFired: res.EventsFired, Failovers: res.Failovers}, nil
 }

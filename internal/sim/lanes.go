@@ -79,31 +79,16 @@ func NewLaneSet(n int, lookahead Time) *LaneSet {
 	return ls
 }
 
-// Lanes returns the lane count.
-func (ls *LaneSet) Lanes() int { return len(ls.lanes) }
-
 // Lane returns lane i's engine. Scheduling into it directly is fine
 // before Run starts; during Run only the lane's own events (or Post)
 // may touch it.
 func (ls *LaneSet) Lane(i int) *Engine { return ls.lanes[i] }
-
-// Lookahead returns the minimum cross-lane delivery delay.
-func (ls *LaneSet) Lookahead() Time { return ls.lookahead }
 
 // Epochs returns how many barrier rounds have completed.
 func (ls *LaneSet) Epochs() uint64 { return ls.epochs }
 
 // CrossEvents returns how many cross-lane deliveries have been merged.
 func (ls *LaneSet) CrossEvents() uint64 { return ls.crossed }
-
-// EventsFired sums executed events across lanes.
-func (ls *LaneSet) EventsFired() uint64 {
-	var n uint64
-	for _, e := range ls.lanes {
-		n += e.EventsFired()
-	}
-	return n
-}
 
 // SetCrossTimes declares the only instants at which lanes will Post —
 // the send grid. Times must be sorted ascending. Posts from off-grid

@@ -97,25 +97,6 @@ func LinearThroughOrigin(xs, ys []float64) (float64, error) {
 	return sxy / sxx, nil
 }
 
-// SimpleLinear fits y = slope·x + intercept by ordinary least squares.
-func SimpleLinear(xs, ys []float64) (slope, intercept float64, err error) {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0, 0, fmt.Errorf("stats: SimpleLinear needs ≥2 paired samples, got %d/%d", len(xs), len(ys))
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxy += dx * (ys[i] - my)
-		sxx += dx * dx
-	}
-	if sxx == 0 {
-		return 0, 0, ErrSingular
-	}
-	slope = sxy / sxx
-	return slope, my - slope*mx, nil
-}
-
 // R2 returns the coefficient of determination of predictions vs
 // observations: 1 − SS_res/SS_tot. A constant observation vector yields
 // R² = 1 if predictions match exactly and 0 otherwise.

@@ -153,27 +153,6 @@ func TestLinearThroughOriginErrors(t *testing.T) {
 	}
 }
 
-func TestSimpleLinear(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{5, 7, 9, 11} // y = 2x + 5
-	slope, intercept, err := SimpleLinear(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approxEq(slope, 2, 1e-12) || !approxEq(intercept, 5, 1e-12) {
-		t.Errorf("fit = %v,%v want 2,5", slope, intercept)
-	}
-}
-
-func TestSimpleLinearErrors(t *testing.T) {
-	if _, _, err := SimpleLinear([]float64{1}, []float64{1}); err == nil {
-		t.Error("single sample accepted")
-	}
-	if _, _, err := SimpleLinear([]float64{2, 2}, []float64{1, 5}); err == nil {
-		t.Error("constant xs accepted")
-	}
-}
-
 func TestR2PerfectAndPoor(t *testing.T) {
 	obs := []float64{1, 2, 3, 4}
 	if got := R2(obs, obs); got != 1 {
@@ -216,13 +195,13 @@ func TestPropertyFitBeatsConstant(t *testing.T) {
 			xs[i] = float64(i)
 			ys[i] = 3*xs[i] + 1 + (r.Float64() - 0.5)
 		}
-		slope, intercept, err := SimpleLinear(xs, ys)
+		coefs, err := PolyFit(xs, ys, 1, true)
 		if err != nil {
 			return false
 		}
 		pred := make([]float64, n)
 		for i := range pred {
-			pred[i] = slope*xs[i] + intercept
+			pred[i] = coefs[0]*xs[i] + coefs[1]
 		}
 		return R2(ys, pred) >= 0
 	}

@@ -67,40 +67,3 @@ func (w *SlidingWindow) Last() float64 {
 func (w *SlidingWindow) Reset() {
 	w.next, w.full, w.sum = 0, false, 0
 }
-
-// EWMA is an exponentially weighted moving average with smoothing factor
-// alpha in (0, 1]; larger alpha weights recent samples more.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with the given smoothing factor.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic(fmt.Sprintf("stats: EWMA alpha %v out of (0,1]", alpha))
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Push folds in an observation and returns the updated average.
-func (e *EWMA) Push(x float64) float64 {
-	if !e.init {
-		e.value, e.init = x, true
-	} else {
-		e.value = e.alpha*x + (1-e.alpha)*e.value
-	}
-	return e.value
-}
-
-// Value returns the current average; it panics before the first Push.
-func (e *EWMA) Value() float64 {
-	if !e.init {
-		panic("stats: Value of EWMA before first Push")
-	}
-	return e.value
-}
-
-// Initialized reports whether at least one observation has been pushed.
-func (e *EWMA) Initialized() bool { return e.init }

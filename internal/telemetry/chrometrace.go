@@ -94,7 +94,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	}
 	for _, e := range r.instants {
 		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: string(e.Action), Cat: "adaptation", Ph: "i", TS: us(e.At),
+			Name: string(e.Action.Kind), Cat: "adaptation", Ph: "i", TS: us(e.At),
 			PID: pidControl, TID: int(e.Stage) + 1, S: "p",
 			Args: map[string]any{"task": e.Task, "period": e.Period, "value": e.Value},
 		})

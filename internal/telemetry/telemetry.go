@@ -208,10 +208,11 @@ func (r *Recorder) Emit(e trace.Event) {
 			s.Comm.Predict(int(e.Period), e.Comm)
 		}
 	case trace.KindAdaptation:
-		c, ok := r.adapts[e.Action]
+		kind := e.Action.Kind
+		c, ok := r.adapts[kind]
 		if !ok {
-			c = r.reg.Counter("rm_adaptations_total", Label{"kind", string(e.Action)})
-			r.adapts[e.Action] = c
+			c = r.reg.Counter("rm_adaptations_total", Label{"kind", string(kind)})
+			r.adapts[kind] = c
 		}
 		c.Inc()
 		r.instants = append(r.instants, e)

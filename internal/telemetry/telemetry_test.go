@@ -315,7 +315,8 @@ func message(stage, period, from, to int, bytes int64, enqueued, sent, delivered
 
 // replicate is a KindAdaptation event adding replicas to stage 0.
 func replicate(at sim.Time, added int64) trace.Event {
-	return trace.Event{Kind: trace.KindAdaptation, At: at, Task: "aaw", Action: trace.ActionReplicate, Value: added}
+	return trace.Event{Kind: trace.KindAdaptation, At: at, Task: "aaw", Value: added,
+		Action: &trace.AdaptationEvent{At: at, Task: "aaw", Kind: trace.ActionReplicate, Procs: []int{1}}}
 }
 
 func TestRecorderEndToEnd(t *testing.T) {

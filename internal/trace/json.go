@@ -6,11 +6,10 @@ import (
 	"io"
 
 	"repro/internal/metrics"
-	"repro/internal/task"
 )
 
-// PeriodJSON is the canonical JSON shape of one completed instance. Times are milliseconds as floats, the unit the paper reports
-// in.
+// PeriodJSON is the canonical JSON shape of one completed instance.
+// Times are milliseconds as floats, the unit the paper reports in.
 type PeriodJSON struct {
 	Period    int         `json:"period"`
 	Items     int         `json:"items"`
@@ -36,26 +35,8 @@ type EventJSON struct {
 	Procs  []int   `json:"procs,omitempty"`
 }
 
-// PeriodToJSON converts one period record.
-func PeriodToJSON(r *task.PeriodRecord) PeriodJSON {
-	p := PeriodJSON{
-		Period:    r.Period,
-		Items:     r.Items,
-		LatencyMS: r.EndToEnd().Milliseconds(),
-		Missed:    r.Missed(),
-	}
-	for _, st := range r.Stages {
-		p.Stages = append(p.Stages, StageJSON{
-			ExecMS:   st.ExecLatency().Milliseconds(),
-			CommMS:   st.CommLatency().Milliseconds(),
-			Replicas: st.Replicas,
-		})
-	}
-	return p
-}
-
-// EventToJSON converts one adaptation event.
-func EventToJSON(e AdaptationEvent) EventJSON {
+// EventToJSON converts one adaptation action.
+func EventToJSON(e *AdaptationEvent) EventJSON {
 	return EventJSON{
 		AtMS:   e.At.Milliseconds(),
 		Period: e.Period,
@@ -110,15 +91,33 @@ type RunJSON struct {
 	Events  []EventJSON  `json:"events,omitempty"`
 }
 
-// RunToJSON converts a run's metrics, period records and adaptation
-// events; nil records or events leave that part of the document out.
-func RunToJSON(m metrics.RunMetrics, records []*task.PeriodRecord, events []AdaptationEvent) RunJSON {
+// RunToJSON converts a run's metrics and its recorded stream: one
+// period per KindEndToEnd, with the KindStage events that precede it as
+// its stages (the final stage's comm is 0), and one event per
+// KindAdaptation. A stream without either leaves that part out.
+func RunToJSON(m metrics.RunMetrics, events []Event) RunJSON {
 	run := RunJSON{Summary: SummaryToJSON(m)}
-	for _, r := range records {
-		run.Periods = append(run.Periods, PeriodToJSON(r))
-	}
+	var stages []StageJSON
 	for _, e := range events {
-		run.Events = append(run.Events, EventToJSON(e))
+		switch e.Kind {
+		case KindStage:
+			stages = append(stages, StageJSON{
+				ExecMS:   e.Latency.Milliseconds(),
+				CommMS:   max(e.Comm, 0).Milliseconds(),
+				Replicas: int(e.Value),
+			})
+		case KindEndToEnd:
+			run.Periods = append(run.Periods, PeriodJSON{
+				Period:    int(e.Period),
+				Items:     int(e.Value),
+				LatencyMS: e.Latency.Milliseconds(),
+				Missed:    e.Missed,
+				Stages:    stages,
+			})
+			stages = nil
+		case KindAdaptation:
+			run.Events = append(run.Events, EventToJSON(e.Action))
+		}
 	}
 	return run
 }

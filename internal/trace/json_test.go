@@ -9,34 +9,33 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/task"
 )
 
-func sampleRecords() []*task.PeriodRecord {
-	return []*task.PeriodRecord{{
-		Period: 0, Items: 50,
-		ReleasedAt: 0, CompletedAt: 400 * sim.Millisecond,
-		Deadline: sim.Second,
-		Stages: []task.StageObservation{
-			{ReadyAt: 0, DoneAt: 300 * sim.Millisecond, DeliveredAt: 350 * sim.Millisecond, Replicas: 1},
-			{ReadyAt: 350 * sim.Millisecond, DoneAt: 400 * sim.Millisecond, DeliveredAt: 400 * sim.Millisecond, Replicas: 2},
-		},
-	}, {
-		Period: 1, Items: 60,
-		ReleasedAt: sim.Second, CompletedAt: sim.Second + 1200*sim.Millisecond,
-		Deadline: 2 * sim.Second,
-		Stages:   []task.StageObservation{{Replicas: 1}, {Replicas: 1}},
-	}}
+const ms = sim.Millisecond
+
+// adaptation is a KindAdaptation event carrying its action.
+func adaptation(a AdaptationEvent, value int64) Event {
+	return Event{Kind: KindAdaptation, At: a.At, Task: a.Task, Stage: int32(a.Stage),
+		Period: int32(a.Period), Value: value, Action: &a}
 }
 
-func sampleEvents() []AdaptationEvent {
-	return []AdaptationEvent{{
-		At: 2 * sim.Second, Period: 2, Task: "aaw", Stage: 1,
-		Kind: ActionReplicate, Procs: []int{3},
-	}, {
-		At: 3 * sim.Second, Period: 3, Task: "aaw", Stage: 1,
-		Kind: ActionAllocFailure,
-	}}
+// sampleStream is a recorded run of two completed two-stage periods and
+// two adaptation actions, among spans the writers skip.
+func sampleStream() []Event {
+	return []Event{
+		{Kind: KindExec, At: 300 * ms, Task: "aaw", Proc: 2, Value: 50},
+		{Kind: KindStage, At: 400 * ms, Task: "aaw", Stage: 0, Latency: 300 * ms, Comm: 50 * ms, Value: 1},
+		{Kind: KindStage, At: 400 * ms, Task: "aaw", Stage: 1, Latency: 50 * ms, Comm: -1, Value: 2},
+		{Kind: KindEndToEnd, At: 400 * ms, Task: "aaw", Latency: 400 * ms, Deadline: sim.Second, Value: 50},
+		adaptation(AdaptationEvent{At: 2 * sim.Second, Period: 2, Task: "aaw", Stage: 1,
+			Kind: ActionReplicate, Procs: []int{3}}, 1),
+		{Kind: KindStage, At: 2200 * ms, Task: "aaw", Period: 1, Stage: 0, Value: 1},
+		{Kind: KindStage, At: 2200 * ms, Task: "aaw", Period: 1, Stage: 1, Comm: -1, Value: 1},
+		{Kind: KindEndToEnd, At: 2200 * ms, Task: "aaw", Period: 1, Latency: 1200 * ms, Deadline: sim.Second,
+			Missed: true, Value: 60},
+		adaptation(AdaptationEvent{At: 3 * sim.Second, Period: 3, Task: "aaw", Stage: 1,
+			Kind: ActionAllocFailure}, 0),
+	}
 }
 
 // readRunJSON writes the run document and decodes it back.
@@ -54,13 +53,19 @@ func readRunJSON(t *testing.T, run RunJSON) RunJSON {
 }
 
 func TestWriteJSONRoundTrip(t *testing.T) {
-	records, events := sampleRecords(), sampleEvents()
-	run := RunToJSON(metrics.RunMetrics{}, records, events)
-	got := readRunJSON(t, run)
+	got := readRunJSON(t, RunToJSON(metrics.RunMetrics{}, sampleStream()))
 	want := RunJSON{
 		Summary: SummaryToJSON(metrics.RunMetrics{}),
-		Periods: []PeriodJSON{PeriodToJSON(records[0]), PeriodToJSON(records[1])},
-		Events:  []EventJSON{EventToJSON(events[0]), EventToJSON(events[1])},
+		Periods: []PeriodJSON{
+			{Period: 0, Items: 50, LatencyMS: 400, Stages: []StageJSON{
+				{ExecMS: 300, CommMS: 50, Replicas: 1}, {ExecMS: 50, Replicas: 2}}},
+			{Period: 1, Items: 60, LatencyMS: 1200, Missed: true, Stages: []StageJSON{
+				{Replicas: 1}, {Replicas: 1}}},
+		},
+		Events: []EventJSON{
+			{AtMS: 2000, Period: 2, Task: "aaw", Stage: 1, Kind: "replicate", Procs: []int{3}},
+			{AtMS: 3000, Period: 3, Task: "aaw", Stage: 1, Kind: "alloc-failure"},
+		},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip mismatch:\ngot  %+v\nwant %+v", got, want)
@@ -69,11 +74,14 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 
 func TestWriteJSONMatchesCSVContent(t *testing.T) {
 	// The JSON and CSV writers must agree on the derived values.
-	records := sampleRecords()
-	doc := readRunJSON(t, RunToJSON(metrics.RunMetrics{}, records, sampleEvents()))
+	events := sampleStream()
+	doc := readRunJSON(t, RunToJSON(metrics.RunMetrics{}, events))
 	var csv strings.Builder
-	if err := WriteRecordsCSV(&csv, records); err != nil {
+	if err := WriteRecordsCSV(&csv, events); err != nil {
 		t.Fatal(err)
+	}
+	if rows := strings.Count(csv.String(), "\n"); rows != 3 {
+		t.Errorf("CSV has %d lines, want a header and 2 rows:\n%s", rows, csv.String())
 	}
 	r0 := doc.Periods[0]
 	if r0.LatencyMS != 400 || !strings.Contains(csv.String(), "\n0,50,0.000,400.000,400.000,false\n") {
@@ -82,11 +90,14 @@ func TestWriteJSONMatchesCSVContent(t *testing.T) {
 	if r0.Missed {
 		t.Error("record 0 marked missed; completed well before its deadline")
 	}
-	if doc.Periods[1].Missed != strings.Contains(csv.String(), "1200.000,true") || !doc.Periods[1].Missed {
+	if doc.Periods[1].Missed != strings.Contains(csv.String(), "1,60,1000.000,2200.000,1200.000,true") || !doc.Periods[1].Missed {
 		t.Errorf("record 1 missed: JSON %v, CSV %q", doc.Periods[1].Missed, csv.String())
 	}
 	if got := r0.Stages[0]; got.ExecMS != 300 || got.CommMS != 50 || got.Replicas != 1 {
 		t.Errorf("stage 0 = %+v, want exec 300ms, comm 50ms, 1 replica", got)
+	}
+	if got := r0.Stages[1]; got.CommMS != 0 {
+		t.Errorf("final stage comm = %v ms, want 0", got.CommMS)
 	}
 	if e := doc.Events[0]; e.AtMS != 2000 || e.Kind != "replicate" || len(e.Procs) != 1 {
 		t.Errorf("event 0 = %+v", e)
@@ -98,7 +109,7 @@ func TestWriteJSONMatchesCSVContent(t *testing.T) {
 
 func TestWriteJSONEmptyLog(t *testing.T) {
 	// A run that completed nothing and never adapted encodes no detail.
-	doc := readRunJSON(t, RunToJSON(metrics.RunMetrics{}, []*task.PeriodRecord{}, []AdaptationEvent{}))
+	doc := readRunJSON(t, RunToJSON(metrics.RunMetrics{}, []Event{{Kind: KindNetUtil, Util: 0.5}}))
 	if len(doc.Periods) != 0 || len(doc.Events) != 0 {
 		t.Errorf("empty run round-tripped as %+v", doc)
 	}
@@ -106,27 +117,19 @@ func TestWriteJSONEmptyLog(t *testing.T) {
 
 // sampleRun is a one-period run: two of three instances completed (one
 // missed) and one replication.
-func sampleRun() (metrics.RunMetrics, []*task.PeriodRecord, []AdaptationEvent) {
+func sampleRun() (metrics.RunMetrics, []Event) {
 	c := metrics.NewCollector(6)
 	c.ObservePeriodStart(0.5, 0.25, 2)
 	c.ObserveCompletion(false)
 	c.ObserveCompletion(true)
 	c.CountReplications(2)
-	rec := &task.PeriodRecord{
-		Period: 1, Items: 1000,
-		ReleasedAt:  sim.Second,
-		CompletedAt: sim.Second + 400*sim.Millisecond,
-		Deadline:    sim.Second + 990*sim.Millisecond,
-		Stages: []task.StageObservation{{
-			ReadyAt: sim.Second, DoneAt: sim.Second + 300*sim.Millisecond,
-			DeliveredAt: sim.Second + 350*sim.Millisecond, Replicas: 2,
-		}},
+	at := sim.Second + 400*ms
+	return c.Finish(), []Event{
+		{Kind: KindStage, At: at, Task: "T", Period: 1, Latency: 300 * ms, Comm: 50 * ms, Value: 2},
+		{Kind: KindEndToEnd, At: at, Task: "T", Period: 1, Latency: 400 * ms, Deadline: 990 * ms, Value: 1000},
+		adaptation(AdaptationEvent{At: 2 * sim.Second, Period: 2, Task: "T", Stage: 2,
+			Kind: ActionReplicate, Procs: []int{3, 4}}, 2),
 	}
-	events := []AdaptationEvent{{
-		At: 2 * sim.Second, Period: 2, Task: "T", Stage: 2,
-		Kind: ActionReplicate, Procs: []int{3, 4},
-	}}
-	return c.Finish(), []*task.PeriodRecord{rec}, events
 }
 
 func TestRunToJSONFull(t *testing.T) {
@@ -138,10 +141,10 @@ func TestRunToJSONFull(t *testing.T) {
 		t.Fatalf("periods = %d", len(run.Periods))
 	}
 	p := run.Periods[0]
-	if p.LatencyMS != 400 || p.Missed {
+	if p.LatencyMS != 400 || p.Missed || p.Items != 1000 {
 		t.Errorf("period = %+v", p)
 	}
-	if len(p.Stages) != 1 || p.Stages[0].ExecMS != 300 || p.Stages[0].CommMS != 50 {
+	if len(p.Stages) != 1 || p.Stages[0].ExecMS != 300 || p.Stages[0].CommMS != 50 || p.Stages[0].Replicas != 2 {
 		t.Errorf("stages = %+v", p.Stages)
 	}
 	if len(run.Events) != 1 || run.Events[0].Kind != "replicate" || run.Events[0].AtMS != 2000 {
@@ -150,8 +153,8 @@ func TestRunToJSONFull(t *testing.T) {
 }
 
 func TestRunToJSONSummaryOnly(t *testing.T) {
-	m, _, _ := sampleRun()
-	run := RunToJSON(m, nil, nil)
+	m, _ := sampleRun()
+	run := RunToJSON(m, nil)
 	if run.Periods != nil || run.Events != nil {
 		t.Error("summary-only run carried detail")
 	}
@@ -173,7 +176,7 @@ func TestWriteRunJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal([]byte(b.String()), &back); err != nil {
 		t.Fatal(err)
 	}
-	m, _, _ := sampleRun()
+	m, _ := sampleRun()
 	if back.Summary.Combined != SummaryToJSON(m).Combined {
 		t.Error("round trip changed the combined metric")
 	}

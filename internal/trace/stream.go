@@ -24,11 +24,14 @@ const (
 	// are the source and destination nodes, Value the payload bytes.
 	KindMessage
 	// KindStage is one stage of a completed instance: Latency is its
-	// execution latency against the EQF sub-deadline Deadline, and Comm
-	// the delay of its outgoing message (negative on the final stage).
+	// execution latency against the EQF sub-deadline Deadline, Comm the
+	// delay of its outgoing message (negative on the final stage), and
+	// Value the replicas that ran it. The instance's KindEndToEnd
+	// follows its last stage.
 	KindStage
 	// KindEndToEnd is one completed instance: Latency is release to
-	// completion against the task deadline Deadline.
+	// completion against the task deadline Deadline, Value the items it
+	// processed.
 	KindEndToEnd
 	// KindAdaptation is one resource-management action (Action), with
 	// its magnitude in Value: replicas added, items shed, or the node
@@ -65,13 +68,13 @@ type Event struct {
 	From   int32
 	At     sim.Time
 	Task   string
-	Action ActionKind
 
 	Start, Mid              sim.Time
 	Latency, Comm, Deadline sim.Time
 	Value                   int64
 	Util                    float64
-	Sample                  *Sample // KindSample only
+	Action                  *AdaptationEvent // KindAdaptation only
+	Sample                  *Sample          // KindSample only
 }
 
 // Sample is one view of the simulated system. Its slices are freshly

@@ -1,7 +1,9 @@
-// Package trace describes what an adaptive run did: the adaptation
-// actions and period records a run returns, their CSV and JSON forms,
-// and the typed observation stream (Event, Sink) a run emits while it
-// executes.
+// Package trace describes what an adaptive run did. A run's one record
+// is its typed observation stream: every span, completion, forecast,
+// adaptation action and utilization reading, as an Event handed to the
+// run's sink (core.Sink) while it executes. Recording is the sink that
+// keeps the stream; the CSV and JSON writers render a recorded stream's
+// completed periods and adaptation actions.
 package trace
 
 import (
@@ -9,7 +11,6 @@ import (
 	"io"
 
 	"repro/internal/sim"
-	"repro/internal/task"
 )
 
 // ActionKind labels an adaptation event.
@@ -29,7 +30,8 @@ const (
 	ActionShed    ActionKind = "shed"
 )
 
-// AdaptationEvent is one resource-management action.
+// AdaptationEvent is one resource-management action, as carried by a
+// KindAdaptation Event.
 type AdaptationEvent struct {
 	At     sim.Time
 	Period int
@@ -45,16 +47,43 @@ func (e AdaptationEvent) String() string {
 		e.At, e.Period, e.Task, e.Stage, e.Kind, e.Procs)
 }
 
-// WriteRecordsCSV emits one row per completed period.
-func WriteRecordsCSV(w io.Writer, records []*task.PeriodRecord) error {
+// Recording is a sink (core.Sink) that keeps every event of a run, in
+// emission order. It takes no state samples.
+type Recording struct {
+	Events []Event
+}
+
+// Emit appends e to the recording.
+func (r *Recording) Emit(e Event) { r.Events = append(r.Events, e) }
+
+// SampleEvery is 0: a recording asks for no state samples.
+func (r *Recording) SampleEvery() sim.Time { return 0 }
+
+// Adaptations returns the recorded adaptation actions in action order.
+func (r *Recording) Adaptations() []*AdaptationEvent {
+	var out []*AdaptationEvent
+	for _, e := range r.Events {
+		if e.Kind == KindAdaptation {
+			out = append(out, e.Action)
+		}
+	}
+	return out
+}
+
+// WriteRecordsCSV emits one row per completed period (KindEndToEnd) of
+// a recorded stream.
+func WriteRecordsCSV(w io.Writer, events []Event) error {
 	if _, err := fmt.Fprintln(w, "period,items,released_ms,completed_ms,latency_ms,missed"); err != nil {
 		return err
 	}
-	for _, r := range records {
+	for _, e := range events {
+		if e.Kind != KindEndToEnd {
+			continue
+		}
 		_, err := fmt.Fprintf(w, "%d,%d,%.3f,%.3f,%.3f,%t\n",
-			r.Period, r.Items,
-			r.ReleasedAt.Milliseconds(), r.CompletedAt.Milliseconds(),
-			r.EndToEnd().Milliseconds(), r.Missed())
+			e.Period, e.Value,
+			(e.At - e.Latency).Milliseconds(), e.At.Milliseconds(),
+			e.Latency.Milliseconds(), e.Missed)
 		if err != nil {
 			return err
 		}
